@@ -122,13 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="PATH",
                 help="enable observability and export a span JSONL trace",
             )
-            cmd.add_argument(
-                "--engine",
-                choices=["serial", "batch"],
-                default=None,
-                help="execution engine for the ten runs (default: batch, "
-                "or $REPRO_ENGINE; results are bit-identical)",
-            )
 
     rank = sub.add_parser(
         "rankings", help="all three methods on all three servers (§V-C3)"
@@ -261,19 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable observability and export a span JSONL trace",
     )
     frun.add_argument(
-        "--engine",
-        choices=["serial", "batch"],
-        default="batch",
-        help="worker execution engine: 'batch' sends job chunks through "
-        "the vectorized engine, 'serial' runs one job per dispatch "
-        "(results are bit-identical)",
-    )
-    frun.add_argument(
         "--chunk-size",
         type=int,
         default=None,
         metavar="N",
-        help="jobs per worker dispatch with --engine batch "
+        help="jobs per worker dispatch; 1 dispatches each job on its own "
         "(default: auto)",
     )
     frun.add_argument(
@@ -359,18 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="node placement policy override (default: the spec's)",
     )
     crun.add_argument(
-        "--engine",
-        choices=["serial", "batch"],
-        default=None,
-        help="local execution engine for the unique per-node runs "
-        "(default: batch, or $REPRO_ENGINE; results are bit-identical)",
-    )
-    crun.add_argument(
         "--workers",
         type=int,
         default=None,
         help="route the per-node runs through the fleet worker pool "
-        "with this many processes (default: local batch engine)",
+        "with this many processes (default: run them in this process)",
     )
     crun.add_argument(
         "--events",
@@ -421,12 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate this single P-state (default: the full state grid)",
     )
     zeval.add_argument("--seed", type=int, default=0)
-    zeval.add_argument(
-        "--engine",
-        choices=["serial", "batch"],
-        default=None,
-        help="execution engine (default: batch; bit-identical)",
-    )
     zeval.add_argument(
         "--json", metavar="PATH", help="save the result as JSON"
     )
@@ -900,9 +872,7 @@ def _maybe_trace(path: "str | None"):
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     server = _load_server(args.server)
     with _maybe_trace(args.trace):
-        result = evaluate_server(
-            server, Simulator(server, seed=args.seed), engine=args.engine
-        )
+        result = evaluate_server(server, Simulator(server, seed=args.seed))
     print(format_evaluation_table(result))
     _save_json_report(repro_io.evaluation_to_dict(result), args.json)
     return 0
@@ -1380,7 +1350,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             cache=cache,
             retry=fleet.RetryPolicy(max_attempts=args.retries),
             events=events,
-            chunk_size=1 if args.engine == "serial" else args.chunk_size,
+            chunk_size=args.chunk_size,
             timeout_s=args.job_timeout,
         )
         try:
@@ -1550,7 +1520,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                     campaign,
                     placement=args.placement,
                     backend=backend,
-                    engine=args.engine,
                     events=events,
                 )
         finally:
@@ -1645,11 +1614,7 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
         server = _load_server(args.server)
         if args.pstate is not None:
             pinned = server.at_pstate(args.pstate)
-            result = evaluate_server(
-                pinned,
-                Simulator(pinned, seed=args.seed),
-                engine=args.engine,
-            )
+            result = evaluate_server(pinned, Simulator(pinned, seed=args.seed))
             print(
                 f"{server.name} at P{args.pstate} "
                 f"({pinned.effective_frequency_mhz:.0f} MHz):"
@@ -1657,9 +1622,7 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
             print(format_evaluation_table(result))
             _save_json_report(repro_io.evaluation_to_dict(result), args.json)
             return 0
-        result = evaluate_grid(
-            StateGrid(server), seed=args.seed, engine=args.engine
-        )
+        result = evaluate_grid(StateGrid(server), seed=args.seed)
         print(_zoo_grid_summary(result))
         _save_json_report(grid_to_dict(result), args.json)
         return 0

@@ -2,8 +2,8 @@
 
 Composes N single-server models (:mod:`repro.hardware.specs`) into a
 whole machine — racks, interconnect, a deterministic FCFS+backfill
-scheduler, and whole-machine power/PPW rollups driven by the vectorized
-batch engine.  See ``docs/cluster.md``.
+scheduler, and whole-machine power/PPW rollups over one simulated trace
+per unique (server, workload) pair.  See ``docs/cluster.md``.
 """
 
 from repro.cluster.machine import (

@@ -7,8 +7,9 @@ seeds every run from ``(seed, program label)``, never from node
 identity).  So the timestep loop never simulates per node — it
 
 1. deduplicates the schedule into unique ``(server, workload)`` pairs,
-2. evaluates each unique pair once through the vectorized batch engine
-   (or the fleet backend's chunked dispatch, for process parallelism),
+2. evaluates each unique pair once, locally through
+   :func:`~repro.engine.batch.run_batch` (or the fleet backend's chunked
+   dispatch, for process parallelism),
 3. builds the 1 Hz machine timeline *additively*: start from the
    all-idle baseline (every node at its calibrated idle watts, plus the
    interconnect's idle and switch terms), then for each scheduled job
@@ -44,7 +45,7 @@ from repro.cluster.scheduler import (
     schedule_jobs,
 )
 from repro.demand import ResourceDemand
-from repro.engine.batch import resolve_engine, run_batch
+from repro.engine.batch import run_batch
 from repro.engine.simulator import Simulator
 from repro.engine.trace import RunResult
 from repro.errors import ConfigurationError
@@ -66,7 +67,6 @@ def _unique_runs(
     servers: "dict[str, ServerSpec]",
     simulators: "dict[str, Simulator]",
     backend,
-    engine: "str | None",
 ) -> "dict[tuple[str, str], RunResult]":
     """Evaluate each unique (server, workload) pair exactly once."""
     per_server: "dict[str, list[str]]" = {}
@@ -82,10 +82,8 @@ def _unique_runs(
         items = [workload_from_dict(json.loads(key)) for key in keys]
         if backend is not None:
             runs = backend.map_runs(simulator, items)
-        elif resolve_engine(engine) == "batch":
-            runs = run_batch(simulator, items)
         else:
-            runs = [simulator.run(item) for item in items]
+            runs = run_batch(simulator, items)
         for key, run in zip(keys, runs):
             if isinstance(run, Exception):
                 raise run
@@ -111,7 +109,6 @@ def simulate_cluster(
     placement: str = "compact",
     seed: int = 0,
     backend=None,
-    engine: "str | None" = None,
     events: "EventLog | None" = None,
     trim: float = DEFAULT_TRIM,
     name: "str | None" = None,
@@ -119,10 +116,9 @@ def simulate_cluster(
     """Schedule ``jobs`` on ``cluster`` and simulate machine power.
 
     ``backend`` routes the unique per-node runs through a
-    :class:`repro.fleet.FleetBackend` (process pool + cache); locally the
-    vectorized batch engine is the default, with ``engine="serial"``
-    selecting the one-run-at-a-time simulator.  All paths produce
-    bit-identical per-job rows — the differential suite compares a
+    :class:`repro.fleet.FleetBackend` (process pool + cache); otherwise
+    they run locally through :func:`~repro.engine.batch.run_batch`.  Both
+    paths produce bit-identical per-job rows — the differential suite compares a
     1-node run against :func:`repro.core.evaluation.evaluate_server`
     digest for digest.
 
@@ -168,7 +164,7 @@ def simulate_cluster(
                 seed=seed,
             )
 
-        runs = _unique_runs(schedule, servers, simulators, backend, engine)
+        runs = _unique_runs(schedule, servers, simulators, backend)
 
         ic = cluster.interconnect
         baseline = (
@@ -265,7 +261,6 @@ def simulate_campaign(
     campaign,
     placement: "str | None" = None,
     backend=None,
-    engine: "str | None" = None,
     events: "EventLog | None" = None,
 ) -> ClusterResult:
     """Run a :class:`~repro.cluster.scheduler.ClusterCampaign` document."""
@@ -275,7 +270,6 @@ def simulate_campaign(
         placement=placement or campaign.placement,
         seed=campaign.seed,
         backend=backend,
-        engine=engine,
         events=events,
         name=campaign.name,
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.core.metrics import ppw
 from repro.core.states import EvaluationState, evaluation_states
 from repro.demand import ResourceDemand
-from repro.engine.batch import resolve_engine, run_batch
+from repro.engine.batch import run_batch
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.hardware.specs import ServerSpec
@@ -132,11 +132,17 @@ def evaluate_server(
 
     ``backend`` optionally routes the ten runs through a batch executor
     such as :class:`repro.fleet.FleetBackend` (parallel and/or cached);
-    locally the vectorized batch engine is the default, with
-    ``engine="serial"`` (or ``REPRO_ENGINE=serial``) selecting the
-    one-run-at-a-time simulator.  Every path yields bit-identical rows —
-    the simulator seeds each run from ``(seed, program label)``, never
-    from execution order.
+    otherwise they run locally through
+    :func:`~repro.engine.batch.run_batch`.  Every path yields
+    bit-identical rows — the simulator seeds each run from ``(seed,
+    program label)``, never from execution order.
+
+    ``engine`` selects nothing: there is one simulation loop.  It is
+    accepted (``None``, ``"serial"`` or ``"batch"``) only so that callers
+    written when two loops existed keep working — the repository
+    benchmark's paper chain (``perfbench/paper_chain.py``) passes
+    ``engine="serial"``.  Any other value raises
+    :class:`~repro.errors.ConfigurationError`.
 
     With ``allow_partial=True`` a state whose run failed (a dead worker,
     a quarantined trace) is dropped into :attr:`EvaluationResult.missing`
@@ -157,6 +163,8 @@ def evaluate_server(
     >>> len(result.rows)
     10
     """
+    if engine not in (None, "serial", "batch"):
+        raise ConfigurationError(f"unknown engine {engine!r}")
     simulator = simulator or Simulator(server)
     if simulator.server != server:
         raise ConfigurationError("simulator is bound to a different server")
@@ -165,10 +173,8 @@ def evaluate_server(
     items = [_state_runnable(state) for state in states]
     if backend is not None:
         runs = backend.map_runs(simulator, items)
-    elif resolve_engine(engine) == "batch":
-        runs = run_batch(simulator, items)
     else:
-        runs = [simulator.run(item) for item in items]
+        runs = run_batch(simulator, items)
     rows = []
     missing: list[str] = []
     last_error: "Exception | None" = None

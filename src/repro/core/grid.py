@@ -208,15 +208,14 @@ def evaluate_grid(
     seed: int = 0,
     trim: float = DEFAULT_TRIM,
     backend=None,
-    engine: "str | None" = None,
 ) -> GridEvaluation:
     """Evaluate every cell of ``grid`` with the paper's method.
 
     Each P-state pins the server via ``at_pstate`` and rebuilds the
     simulator from the pinned spec, exactly as a fleet worker would —
     power coefficients, achieved performance, and runtimes all follow
-    the operating point.  ``backend``/``engine`` route each cell's runs
-    like :func:`~repro.core.evaluation.evaluate_server` does.
+    the operating point.  ``backend`` routes each cell's runs like
+    :func:`~repro.core.evaluation.evaluate_server` does.
     """
     cells = []
     for p in grid.pstates:
@@ -229,7 +228,6 @@ def evaluate_grid(
             simulator=Simulator(pinned, seed=seed),
             trim=trim,
             backend=backend,
-            engine=engine,
             states=states,
         )
         cells.append(

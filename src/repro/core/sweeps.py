@@ -13,9 +13,8 @@ takes an optional ``backend`` implementing::
 
 (positionally aligned with the input; unrunnable configurations come
 back as the error instance).  ``backend=None`` executes locally in this
-process — through the vectorized batch engine by default, or the serial
-simulator when ``engine="serial"`` (or ``REPRO_ENGINE=serial``) asks for
-it.  :class:`repro.fleet.FleetBackend` provides the parallel/cached
+process through :func:`repro.engine.batch.run_batch`.
+:class:`repro.fleet.FleetBackend` provides the parallel/cached
 implementation; results are bit-identical on every path because the
 simulator seeds runs from ``(seed, program label)``, not from execution
 order.
@@ -25,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.batch import resolve_engine, run_batch
+from repro.engine.batch import run_batch
 from repro.engine.simulator import Simulator
-from repro.errors import InsufficientMemoryError, WorkloadError
+from repro.errors import InsufficientMemoryError
 from repro.workloads.hpl import HplConfig, HplWorkload
 from repro.workloads.npb import NPB_PROGRAMS, NpbClass, NpbWorkload
 from repro.workloads.specpower import (
@@ -65,28 +64,15 @@ class PowerPoint:
         return self.watts is not None
 
 
-def _map_runs(
-    simulator: Simulator, workloads: list, backend=None, engine=None
-) -> list:
+def _map_runs(simulator: Simulator, workloads: list, backend=None) -> list:
     """Execute ``workloads`` in order, locally or through ``backend``.
 
-    The local path uses the batch engine unless ``engine="serial"`` (or
-    ``REPRO_ENGINE=serial``) selects the one-run-at-a-time simulator;
-    both are bit-identical.  Workload errors (memory fit, process-count
-    rules) are returned in place of the run so callers decide whether a
-    point is skippable.
+    Workload errors (memory fit, process-count rules) are returned in
+    place of the run so callers decide whether a point is skippable.
     """
     if backend is not None:
         return backend.map_runs(simulator, workloads)
-    if resolve_engine(engine) == "batch":
-        return run_batch(simulator, workloads)
-    out = []
-    for workload in workloads:
-        try:
-            out.append(simulator.run(workload))
-        except WorkloadError as exc:
-            out.append(exc)
-    return out
+    return run_batch(simulator, workloads)
 
 
 def _unwrap(run):
@@ -97,7 +83,7 @@ def _unwrap(run):
 
 
 def specpower_usage_sweep(
-    simulator: Simulator, backend=None, engine: "str | None" = None
+    simulator: Simulator, backend=None
 ) -> list[tuple[str, float, float, float]]:
     """Figs. 1-2 data: (level, memory %, cpu %, watts) per load level."""
     levels = full_run_levels()
@@ -105,7 +91,6 @@ def specpower_usage_sweep(
         simulator,
         [SpecPowerWorkload(level) for level in levels],
         backend,
-        engine,
     )
     rows = []
     for level, run in zip(levels, runs):
@@ -130,7 +115,6 @@ def mixed_power_sweep(
     npb_class: "NpbClass | str" = "C",
     include_specpower: bool = True,
     backend=None,
-    engine: "str | None" = None,
 ) -> list[PowerPoint]:
     """Figs. 3-4 data: SPECpower, HPL, and every runnable NPB program.
 
@@ -154,7 +138,7 @@ def mixed_power_sweep(
             plan.append(
                 (f"{name}.{klass.value}.{n}", NpbWorkload(program, klass, n))
             )
-    runs = _map_runs(simulator, [w for _, w in plan], backend, engine)
+    runs = _map_runs(simulator, [w for _, w in plan], backend)
     points: list[PowerPoint] = []
     for (label, _), run in zip(plan, runs):
         if isinstance(run, InsufficientMemoryError):
@@ -168,7 +152,6 @@ def table2_power_matrix(
     simulator: Simulator,
     counts: "tuple[int, ...]" = (1, 2, 4, 8, 9, 16, 25, 32, 36, 39, 40),
     backend=None,
-    engine: "str | None" = None,
 ) -> dict[int, dict[str, float]]:
     """Table II data: program -> watts per process count (CG omitted,
     as in the paper's table)."""
@@ -183,7 +166,7 @@ def table2_power_matrix(
             plan.append(
                 (n, "spec", SpecPowerWorkload(SpecPowerLevel("100%", 1.0)))
             )
-    runs = _map_runs(simulator, [w for *_, w in plan], backend, engine)
+    runs = _map_runs(simulator, [w for *_, w in plan], backend)
     table: dict[int, dict[str, float]] = {n: {} for n in counts}
     for (n, name, _), run in zip(plan, runs):
         table[n][name] = _unwrap(run).average_power_watts()
@@ -197,7 +180,6 @@ def hpl_ns_sweep(
         0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95,
     ),
     backend=None,
-    engine: "str | None" = None,
 ) -> dict[int, list[float]]:
     """Fig. 5 data: watts per memory fraction, one series per core count."""
     plan = [
@@ -205,7 +187,7 @@ def hpl_ns_sweep(
         for n in core_counts
         for fraction in fractions
     ]
-    runs = _map_runs(simulator, [w for _, w in plan], backend, engine)
+    runs = _map_runs(simulator, [w for _, w in plan], backend)
     series: dict[int, list[float]] = {n: [] for n in core_counts}
     for (n, _), run in zip(plan, runs):
         series[n].append(_unwrap(run).average_power_watts())
@@ -217,7 +199,6 @@ def hpl_nb_sweep(
     core_counts: "tuple[int, ...]" = (1, 2, 3, 4),
     nbs: "tuple[int, ...]" = (50, 100, 150, 200, 250, 300, 350, 400),
     backend=None,
-    engine: "str | None" = None,
 ) -> dict[int, list[float]]:
     """Fig. 6 data: watts per NB, one series per core count."""
     plan = [
@@ -225,7 +206,7 @@ def hpl_nb_sweep(
         for n in core_counts
         for nb in nbs
     ]
-    runs = _map_runs(simulator, [w for _, w in plan], backend, engine)
+    runs = _map_runs(simulator, [w for _, w in plan], backend)
     series: dict[int, list[float]] = {n: [] for n in core_counts}
     for (n, _), run in zip(plan, runs):
         series[n].append(_unwrap(run).average_power_watts())
@@ -237,7 +218,6 @@ def hpl_pq_sweep(
     grids: "tuple[tuple[int, int], ...]" = ((1, 4), (2, 2), (4, 1)),
     nbs: "tuple[int, ...]" = (50, 100, 150, 200, 250, 300, 350, 400),
     backend=None,
-    engine: "str | None" = None,
 ) -> dict[tuple[int, int], list[float]]:
     """Fig. 7 data: watts per NB, one series per P x Q grid."""
     plan = [
@@ -245,7 +225,7 @@ def hpl_pq_sweep(
         for p, q in grids
         for nb in nbs
     ]
-    runs = _map_runs(simulator, [w for _, w in plan], backend, engine)
+    runs = _map_runs(simulator, [w for _, w in plan], backend)
     series: dict[tuple[int, int], list[float]] = {grid: [] for grid in grids}
     for (grid, _), run in zip(plan, runs):
         series[grid].append(_unwrap(run).average_power_watts())
@@ -258,7 +238,6 @@ def npb_class_sweep(
     classes: "tuple[str, ...]" = ("A", "B", "C"),
     quantity: str = "power",
     backend=None,
-    engine: "str | None" = None,
 ) -> dict[str, list[float | None]]:
     """Figs. 8-9 data: per (program, count) row, one value per class.
 
@@ -278,7 +257,7 @@ def npb_class_sweep(
                 plan.append(
                     (f"{name}.{n}", NpbWorkload(program, klass, n))
                 )
-    runs = _map_runs(simulator, [w for _, w in plan], backend, engine)
+    runs = _map_runs(simulator, [w for _, w in plan], backend)
     table: dict[str, list[float | None]] = {key: [] for key in keys}
     for (key, _), run in zip(plan, runs):
         if isinstance(run, InsufficientMemoryError):
@@ -297,7 +276,6 @@ def ep_profile(
     simulator: Simulator,
     counts: "tuple[int, ...] | None" = None,
     backend=None,
-    engine: "str | None" = None,
 ) -> list[tuple[int, float, float, float, float]]:
     """Figs. 10-11 data: (cores, time s, watts, PPW, energy KJ) for EP.C."""
     if counts is None:
@@ -307,7 +285,6 @@ def ep_profile(
         simulator,
         [NpbWorkload("ep", "C", n) for n in counts],
         backend,
-        engine,
     )
     rows = []
     for n, run in zip(counts, runs):

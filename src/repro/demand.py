@@ -25,6 +25,7 @@ maxima so the same workload model drives every machine:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -91,6 +92,10 @@ class ResourceDemand:
     def __post_init__(self) -> None:
         if self.nprocs < 0:
             raise ConfigurationError(f"nprocs must be >= 0, got {self.nprocs}")
+        for name in ("duration_s", "gflops", "memory_mb"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.duration_s <= 0:
             raise ConfigurationError(
                 f"duration must be positive, got {self.duration_s}"

@@ -6,32 +6,19 @@ models, and returns traces:
 
 * :mod:`repro.engine.trace` — sample and result containers.
 * :mod:`repro.engine.simulator` — the per-run simulator.
-* :mod:`repro.engine.batch` — the vectorized batch engine (bit-identical
-  to the serial simulator over run lists, several times faster).
+* :mod:`repro.engine.batch` — run lists, a loop of single runs.
 * :mod:`repro.engine.experiment` — multi-program campaigns with the CSV
   merge/extract pipeline of Section V-C2.
 """
 
 from repro.engine.trace import RunResult
 from repro.engine.simulator import Simulator
-from repro.engine.batch import (
-    BatchEngine,
-    BatchResult,
-    DEFAULT_ENGINE,
-    ENGINES,
-    resolve_engine,
-    run_batch,
-)
+from repro.engine.batch import run_batch
 from repro.engine.experiment import Campaign, CampaignResult, ProgramMeasurement
 
 __all__ = [
     "RunResult",
     "Simulator",
-    "BatchEngine",
-    "BatchResult",
-    "DEFAULT_ENGINE",
-    "ENGINES",
-    "resolve_engine",
     "run_batch",
     "Campaign",
     "CampaignResult",

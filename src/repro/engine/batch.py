@@ -1,363 +1,25 @@
-"""The vectorized batch simulation engine.
+"""Run lists: a loop of single runs.
 
-:class:`~repro.engine.simulator.Simulator` evaluates one run at a time:
-every call pays the per-run Python overhead of the metering objects, the
-per-window PMU sampling loop, and one observability span.  Sweeps and
-fleet campaigns execute dozens of runs back to back, so this module
-evaluates a whole *list* of bound workloads in one pass: the per-second
-power/memory traces land in stacked ``(runs, seconds)`` numpy arrays and
-the PMU windows of each run are synthesised with a single vectorised
-draw instead of a Python loop per 10 s window.
+Sweeps, evaluations and fleet chunks execute lists of workloads on one
+simulator.  :func:`run_batch` runs them one at a time through
+:meth:`~repro.engine.simulator.Simulator.run` — the only per-run
+simulation body — and keeps each configuration that cannot run in its
+slot as the :class:`~repro.errors.WorkloadError` it raised.
 
-Bit-identical equivalence
--------------------------
-
-The batch engine is a pure performance path: its results are **bit
-identical** to running the serial simulator over the same list (the
-differential suite in ``tests/engine/test_batch_differential.py``
-asserts exact equality over every workload family on every builtin
-server).  Equivalence rests on two properties:
-
-* Every run's random stream is derived from ``(seed, program label)``
-  (see :func:`~repro.engine.simulator._run_seed`), never from execution
-  order, so batching runs cannot change which stream a run sees.
-* Within a run, the batch path consumes each stream in exactly the
-  serial draw order, and every vectorised computation is elementwise —
-  the same IEEE-754 operations the serial path applies, just issued on
-  stacked arrays.  The one loop the serial path runs per PMU window,
-  ``standard_normal(6)`` x k, is replaced by ``standard_normal((k, 6))``,
-  which NumPy fills from the stream in the same row-major order.
-
-When serial is still used
--------------------------
-
-The serial simulator remains the engine for single runs (``Simulator.run``
-callers), for :class:`~repro.engine.experiment.Campaign` (each segment's
-start time feeds the next, and the CSV pipeline interleaves I/O with
-runs), and whenever ``--engine serial`` / ``REPRO_ENGINE=serial`` asks
-for it.
+Every run draws from its own ``(seed, program label)`` stream (see
+:func:`~repro.engine.simulator._run_seed`), so a run's result does not
+depend on its position in the list or on which other runs share it.
 """
 
 from __future__ import annotations
 
-import math
-import os
-import time
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro import obs
 from repro.demand import ResourceDemand
-from repro.engine.simulator import (
-    _PMU_NOISE,
-    _RIPPLE_FRACTION,
-    _run_seed,
-    _transient_shape,
-    PMU_INTERVAL_S,
-    Simulator,
-)
+from repro.engine.simulator import Simulator
 from repro.engine.trace import RunResult
-from repro.errors import ConfigurationError, MeterError, WorkloadError
-from repro.hardware.pmu import PmuSample
+from repro.errors import WorkloadError
 from repro.workloads.base import Workload
 
-__all__ = [
-    "ENGINES",
-    "DEFAULT_ENGINE",
-    "ENGINE_ENV_VAR",
-    "resolve_engine",
-    "BatchResult",
-    "BatchEngine",
-    "run_batch",
-]
-
-#: Recognised engine names for the local execution path.
-ENGINES: tuple[str, ...] = ("serial", "batch")
-
-#: The default local engine for run lists (sweeps, evaluations, chunks).
-DEFAULT_ENGINE: str = "batch"
-
-#: Environment override for the default engine (CLI ``--engine`` wins).
-ENGINE_ENV_VAR: str = "REPRO_ENGINE"
-
-
-def resolve_engine(engine: "str | None" = None) -> str:
-    """Resolve an engine choice: explicit value, else env, else default.
-
-    >>> resolve_engine("serial")
-    'serial'
-    """
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV_VAR) or DEFAULT_ENGINE
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r} (choose from {', '.join(ENGINES)})"
-        )
-    return engine
-
-
-@dataclass(frozen=True)
-class BatchResult:
-    """Everything one batch evaluation produced.
-
-    ``items`` is positionally aligned with the input workload list;
-    configurations that could not run carry their
-    :class:`~repro.errors.WorkloadError` instead of a result.  The
-    stacked arrays cover the *successful* runs only, one row per run in
-    input order, right-padded with NaN to the longest trace
-    (``lengths[i]`` gives row ``i``'s valid prefix).
-    """
-
-    server: str
-    seed: int
-    items: "tuple[RunResult | WorkloadError, ...]"
-    run_indices: tuple[int, ...]
-    lengths: np.ndarray
-    times_s: np.ndarray
-    true_watts: np.ndarray
-    measured_watts: np.ndarray
-    memory_mb: np.ndarray
-
-    @property
-    def runs(self) -> tuple[RunResult, ...]:
-        """The successful runs, in input order."""
-        return tuple(
-            item for item in self.items if isinstance(item, RunResult)
-        )
-
-    @property
-    def n_samples(self) -> int:
-        """Total 1 Hz samples across the batch."""
-        return int(self.lengths.sum()) if self.lengths.size else 0
-
-    def mask(self) -> np.ndarray:
-        """Boolean ``(runs, seconds)`` validity mask for the padding."""
-        if self.lengths.size == 0:
-            return np.zeros((0, 0), dtype=bool)
-        return np.arange(self.times_s.shape[1]) < self.lengths[:, None]
-
-    def pmu_matrix(self) -> np.ndarray:
-        """All runs' PMU features stacked row-wise (X1..X6 order)."""
-        runs = self.runs
-        if not runs:
-            raise ConfigurationError("batch produced no successful runs")
-        return np.vstack([run.pmu_matrix() for run in runs])
-
-
-class BatchEngine:
-    """Evaluates lists of workloads on one simulator's server in one pass.
-
-    Wraps an existing :class:`~repro.engine.simulator.Simulator` — the
-    server, power model, meter spec, seed, and placement policy all come
-    from it, which is what guarantees the batch results are
-    interchangeable with ``simulator.run`` output.
-    """
-
-    def __init__(self, simulator: Simulator):
-        self.simulator = simulator
-
-    def run(
-        self,
-        workloads: "list[Workload | ResourceDemand]",
-        t_start_s: float = 0.0,
-    ) -> BatchResult:
-        """Evaluate every workload; never raises for per-item bind errors.
-
-        Workload errors (memory fit, process-count rules) come back in
-        place of the run, exactly as the serial loops catch them; meter
-        over-range and other simulation errors abort the batch, as they
-        abort a serial sweep.
-        """
-        sim = self.simulator
-        with obs.timed(
-            "engine.batch", server=sim.server.name, runs=len(workloads)
-        ):
-            result = self._run(workloads, t_start_s)
-        obs.inc("engine.batch.runs", float(len(result.run_indices)))
-        return result
-
-    # -- the uninstrumented pass ----------------------------------------
-
-    def _run(
-        self,
-        workloads: "list[Workload | ResourceDemand]",
-        t_start_s: float,
-    ) -> BatchResult:
-        sim = self.simulator
-        spec = sim.meter_spec
-        idle_watts = sim.power_model.coefficients.p_idle
-        os_mb = sim._memory.os_baseline_mb
-        memory_cap_mb = sim.server.memory_mb
-        interval = PMU_INTERVAL_S
-
-        # Pass 1 — bind everything, so trace lengths (and the stacked
-        # array geometry) are known before any trace is generated.
-        items: "list[RunResult | WorkloadError | None]" = [None] * len(
-            workloads
-        )
-        bound: list[tuple[int, ResourceDemand, float]] = []
-        for i, workload in enumerate(workloads):
-            if isinstance(workload, ResourceDemand):
-                bound.append((i, workload, 1.0))
-                continue
-            try:
-                demand = workload.bind(sim.server)
-            except WorkloadError as exc:
-                items[i] = exc
-                continue
-            bound.append((i, demand, workload.power_factor()))
-
-        lengths = np.array(
-            [max(int(math.ceil(d.duration_s)), 1) for _, d, _ in bound],
-            dtype=np.int64,
-        )
-        n_max = int(lengths.max()) if lengths.size else 0
-        n_runs = len(bound)
-        times_2d = np.full((n_runs, n_max), np.nan)
-        true_2d = np.full((n_runs, n_max), np.nan)
-        measured_2d = np.full((n_runs, n_max), np.nan)
-        memory_2d = np.full((n_runs, n_max), np.nan)
-
-        # Pass 2 — generate every trace.  Each run consumes its own
-        # ``(seed, program)`` stream in the serial draw order; all array
-        # math is the same elementwise sequence the serial path applies.
-        # Instrumentation is resolved once for the whole pass: the
-        # per-run metric block below is pure counter traffic, so paying
-        # six no-op dispatches per run when obs is off just taxes the
-        # speedup this engine exists for.
-        metrics_on = obs.enabled()
-        for row, (i, demand, factor) in enumerate(bound):
-            n = int(lengths[row])
-            t_run0 = time.perf_counter() if metrics_on else 0.0
-            sim._cpu.bind(demand)
-            activity = sim._cpu.activity()
-            traffic = sim._memory.traffic(demand, sim._cpu.placement)
-            base_watts = sim.power_model.power_watts(
-                demand,
-                activity,
-                traffic,
-                idiosyncrasy=factor,
-                include_comm=not sim.externalize_comm,
-            )
-            times = t_start_s + np.arange(n, dtype=float)
-            rng = _run_seed(sim.seed, demand.program)
-
-            dynamic = base_watts - idle_watts
-            if dynamic > 0:
-                period = float(rng.uniform(20.0, 60.0))
-                phase = float(rng.uniform(0.0, 2.0 * math.pi))
-                ripple = (
-                    _RIPPLE_FRACTION
-                    * dynamic
-                    * np.sin(
-                        2.0 * math.pi * np.arange(n) / period + phase
-                    )
-                )
-                shape = _transient_shape(n, rng)
-            else:
-                ripple = np.zeros(n)
-                shape = np.ones(n)
-            true_watts = idle_watts + shape * (dynamic + ripple)
-
-            # The WT210 model, inlined on the run's own stream (the
-            # per-run meter instance the serial path builds draws gain
-            # first, then per-sample noise — same order here); the
-            # differential suite pins this to Wt210Meter.sample_series.
-            meter_rng = np.random.default_rng(int(rng.integers(2**31)))
-            gain = 1.0 + spec.gain_error * float(meter_rng.standard_normal())
-            if true_watts.size and float(true_watts.max()) > spec.max_watts:
-                raise MeterError(
-                    f"{spec.name}: {true_watts.max():.0f} W exceeds the "
-                    f"{spec.max_watts:.0f} W range"
-                )
-            if np.any(true_watts < 0):
-                raise MeterError("negative power cannot be measured")
-            noisy = true_watts * gain + spec.noise_sigma_watts * (
-                meter_rng.standard_normal(true_watts.shape)
-            )
-            measured = np.maximum(
-                np.round(noisy / spec.quantum_watts) * spec.quantum_watts,
-                0.0,
-            )
-
-            # The 1 Hz memory sampler, same inlining (jitter then clip).
-            sampler_rng = np.random.default_rng(int(rng.integers(2**31)))
-            resident = os_mb + shape * (traffic.resident_mb - os_mb)
-            observed = resident + 8.0 * sampler_rng.standard_normal(
-                resident.shape
-            )
-            memory_mb = np.clip(observed, 0.0, memory_cap_mb)
-
-            # PMU windows, vectorised: counters depend on the steady
-            # demand, not the window clock, so one synthesised sample
-            # fans out over all windows; the per-window noise matrix is
-            # one draw, row-major — the serial loop's k draws of 6.
-            n_pmu = max(int(n // interval), 1)
-            base_vec = sim._pmu.sample(
-                demand, activity, traffic, time_s=0.0, interval_s=interval
-            ).as_vector()
-            if n >= 10:
-                scales = shape[: n_pmu * 10].reshape(n_pmu, 10).mean(axis=1)
-            else:
-                scales = np.array([shape[0:10].mean()])
-            noise = 1.0 + _PMU_NOISE * rng.standard_normal((n_pmu, 6))
-            vec_rows = np.maximum(
-                (base_vec * noise) * scales[:, None], 0.0
-            ).tolist()
-            nprocs = float(demand.nprocs)
-            pmu_samples = tuple(
-                PmuSample(
-                    t_start_s + k * interval,
-                    interval,
-                    nprocs,
-                    v[1],
-                    v[2],
-                    v[3],
-                    v[4],
-                    v[5],
-                )
-                for k, v in enumerate(vec_rows)
-            )
-
-            times_2d[row, :n] = times
-            true_2d[row, :n] = true_watts
-            measured_2d[row, :n] = measured
-            memory_2d[row, :n] = memory_mb
-            items[i] = RunResult(
-                demand=demand,
-                t_start_s=t_start_s,
-                times_s=times,
-                true_watts=true_watts,
-                measured_watts=measured,
-                memory_mb=memory_mb,
-                pmu_samples=pmu_samples,
-                power_factor=factor,
-            )
-            # Per-run metric parity with the serial path.  No per-run
-            # span (the engine.batch span times the whole pass; per-run
-            # span granularity is a reason to pick --engine serial), but
-            # dashboards keyed on the counters and the sim.run.seconds
-            # histogram see the same shape of data.
-            if metrics_on:
-                obs.inc("sim.run.count")
-                obs.observe("sim.run.seconds", time.perf_counter() - t_run0)
-                obs.inc("sim.run.samples", float(n))
-                obs.inc("sim.pmu.samples", float(len(pmu_samples)))
-                obs.inc("meter.samples", float(n))
-                obs.inc("meter.memory_samples", float(n))
-
-        return BatchResult(
-            server=sim.server.name,
-            seed=sim.seed,
-            items=tuple(items),  # type: ignore[arg-type]
-            run_indices=tuple(i for i, _, _ in bound),
-            lengths=lengths,
-            times_s=times_2d,
-            true_watts=true_2d,
-            measured_watts=measured_2d,
-            memory_mb=memory_2d,
-        )
+__all__ = ["run_batch"]
 
 
 def run_batch(
@@ -365,11 +27,17 @@ def run_batch(
     workloads: "list[Workload | ResourceDemand]",
     t_start_s: float = 0.0,
 ) -> "list[RunResult | WorkloadError]":
-    """Evaluate ``workloads`` through the batch engine.
+    """Run every workload in order; workload errors land in their slot.
 
-    Drop-in replacement for the serial ``map`` over ``simulator.run``:
-    the returned list is positionally aligned with the input and carries
-    :class:`~repro.errors.WorkloadError` instances for configurations
-    that cannot run.  Results are bit-identical to the serial path.
+    The returned list is positionally aligned with ``workloads``.
+    Configurations that cannot run (memory fit, process-count rules)
+    come back as their :class:`~repro.errors.WorkloadError`; any other
+    error — a meter over-range, say — propagates.
     """
-    return list(BatchEngine(simulator).run(workloads, t_start_s).items)
+    items: "list[RunResult | WorkloadError]" = []
+    for workload in workloads:
+        try:
+            items.append(simulator.run(workload, t_start_s))
+        except WorkloadError as exc:
+            items.append(exc)
+    return items

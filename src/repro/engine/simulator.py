@@ -24,7 +24,7 @@ from repro.errors import SimulationError
 from repro.hardware.calibration import calibrated_power_model
 from repro.hardware.cpu import CpuSubsystem
 from repro.hardware.memory import MemorySubsystem
-from repro.hardware.pmu import Pmu
+from repro.hardware.pmu import Pmu, PmuSample
 from repro.hardware.power import SystemPowerModel
 from repro.hardware.specs import ServerSpec
 from repro.metering.meter import MeterSpec, WT210, Wt210Meter
@@ -183,8 +183,11 @@ class Simulator:
         rng = _run_seed(self.seed, demand.program)
 
         # Slow phase ripple on the dynamic component (program phases:
-        # factorisation panels, solver sweeps) — zero when idle.
-        dynamic = base_watts - self.power_model.coefficients.p_idle
+        # factorisation panels, solver sweeps) and start-up/tear-down
+        # transients, which scale the dynamic component and the ripple
+        # riding on it.  Idle has no dynamic power to ripple or ramp.
+        idle_watts = self.power_model.coefficients.p_idle
+        dynamic = base_watts - idle_watts
         if dynamic > 0:
             period = float(rng.uniform(20.0, 60.0))
             phase = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -193,16 +196,10 @@ class Simulator:
                 * dynamic
                 * np.sin(2.0 * math.pi * np.arange(n_seconds) / period + phase)
             )
+            shape = _transient_shape(n_seconds, rng)
         else:
             ripple = np.zeros(n_seconds)
-        # Start-up/tear-down transients scale the dynamic component (and
-        # the ripple riding on it); idle has no dynamic power to ramp.
-        shape = (
-            _transient_shape(n_seconds, rng)
-            if dynamic > 0
-            else np.ones(n_seconds)
-        )
-        idle_watts = self.power_model.coefficients.p_idle
+            shape = np.ones(n_seconds)
         true_watts = idle_watts + shape * (dynamic + ripple)
 
         meter = Wt210Meter(self.meter_spec, seed=int(rng.integers(2**31)))
@@ -218,36 +215,28 @@ class Simulator:
         # PMU counters are always reported per standard 10 s collection
         # window (rates x interval), even for runs shorter than one window
         # — mixing window lengths would conflate a program's activity rate
-        # with its runtime.
-        pmu_samples = []
-        n_pmu = max(int(n_seconds // PMU_INTERVAL_S), 1)
+        # with its runtime.  Counters depend on the steady demand, not the
+        # window clock, so one synthesised reading fans out over every
+        # window.  Activity counters ramp with the program's transients,
+        # just like its power does; the allocated core count does not.
+        # The per-window noise is one (windows, 6) draw, filled row by row.
         interval = PMU_INTERVAL_S
-        for k in range(n_pmu):
-            sample = self._pmu.sample(
-                demand,
-                activity,
-                traffic,
-                time_s=t_start_s + k * PMU_INTERVAL_S,
-                interval_s=interval,
-            )
-            # Activity counters ramp with the program's transients, just
-            # like its power does; the allocated core count does not.
-            window = shape[int(k * PMU_INTERVAL_S) : int((k + 1) * PMU_INTERVAL_S)]
-            window_scale = float(window.mean()) if window.size else 1.0
-            noise = 1.0 + _PMU_NOISE * rng.standard_normal(6)
-            vec = sample.as_vector() * noise * window_scale
-            pmu_samples.append(
-                type(sample)(
-                    time_s=sample.time_s,
-                    interval_s=sample.interval_s,
-                    working_core_num=float(demand.nprocs),
-                    instruction_num=float(max(vec[1], 0.0)),
-                    l2_cache_hit=float(max(vec[2], 0.0)),
-                    l3_cache_hit=float(max(vec[3], 0.0)),
-                    memory_read_times=float(max(vec[4], 0.0)),
-                    memory_write_times=float(max(vec[5], 0.0)),
-                )
-            )
+        width = int(interval)
+        n_pmu = max(n_seconds // width, 1)
+        base = self._pmu.sample(
+            demand, activity, traffic, time_s=0.0, interval_s=interval
+        ).as_vector()
+        if n_seconds >= width:
+            scales = shape[: n_pmu * width].reshape(n_pmu, width).mean(axis=1)
+        else:
+            scales = np.array([shape.mean()])
+        noise = 1.0 + _PMU_NOISE * rng.standard_normal((n_pmu, 6))
+        rows = np.maximum((base * noise) * scales[:, None], 0.0).tolist()
+        nprocs = float(demand.nprocs)
+        pmu_samples = tuple(
+            PmuSample(t_start_s + k * interval, interval, nprocs, *row[1:])
+            for k, row in enumerate(rows)
+        )
 
         return RunResult(
             demand=demand,
@@ -256,6 +245,6 @@ class Simulator:
             true_watts=true_watts,
             measured_watts=measured,
             memory_mb=memory_mb,
-            pmu_samples=tuple(pmu_samples),
+            pmu_samples=pmu_samples,
             power_factor=factor,
         )

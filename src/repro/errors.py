@@ -30,8 +30,28 @@ __all__ = [
 ]
 
 
+def _rebuild(cls, args, kwargs):
+    """Unpickle a :class:`ReproError` by calling its constructor again."""
+    return cls(*args, **kwargs)
+
+
 class ReproError(Exception):
-    """Base class for every exception raised by :mod:`repro`."""
+    """Base class for every exception raised by :mod:`repro`.
+
+    Instances pickle by replaying their constructor arguments, so a
+    subclass with its own ``__init__`` signature crosses a process
+    boundary (a fleet worker's result pipe) with its type, message and
+    attributes intact.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args)
+        self._init_args = (args, kwargs)
+        return self
+
+    def __reduce__(self):
+        args, kwargs = self._init_args
+        return _rebuild, (type(self), args, kwargs), self.__dict__
 
 
 class ConfigurationError(ReproError, ValueError):

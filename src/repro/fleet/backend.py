@@ -46,8 +46,8 @@ class FleetBackend:
     any ``repro.core.sweeps`` function.  Jobs are deduplicated by
     content, so a sweep that revisits a configuration costs one run.
     Workers receive *chunks* of jobs by default (see
-    :attr:`FleetRunner.chunk_size`), evaluated through the bit-identical
-    batch engine; set ``chunk_size=1`` for one job per dispatch.
+    :attr:`FleetRunner.chunk_size`), bit-identical to per-job dispatch;
+    set ``chunk_size=1`` for one job per dispatch.
     """
 
     workers: "int | None" = None

@@ -69,7 +69,7 @@ def auto_chunk_size(n_jobs: int, workers: int) -> int:
     Aims for ~4 chunks per worker so a slow chunk cannot serialise the
     tail of the campaign, while still amortising pickle/IPC cost over
     multiple jobs.  Inline execution (``workers <= 1``) gets one big
-    chunk — the batch engine handles the whole list in a single pass.
+    chunk: with no IPC to amortise, it only saves per-dispatch overhead.
     """
     if workers <= 1:
         return max(1, n_jobs)
@@ -311,10 +311,11 @@ class FleetRunner:
     chunk_size:
         Jobs per worker dispatch.  ``None`` (default) picks
         :func:`auto_chunk_size`; ``1`` sends one job per round-trip (the
-        pre-chunking serial behaviour).  Chunks are evaluated through
-        the batch engine, bit-identical to per-job execution; a job that
-        fails inside a chunk is retried individually, so one bad point
-        never costs its chunk-mates a retry.
+        pre-chunking serial behaviour).  A chunk's jobs run one after
+        another, each behind its own fault barrier, bit-identical to
+        per-job execution; a job that fails inside a chunk is retried
+        individually, so one bad point never costs its chunk-mates a
+        retry.
     timeout_s:
         Per-job wall-clock budget for pooled execution, or ``None``
         (default) for no watchdog.  A chunk's budget scales with its
@@ -371,7 +372,11 @@ class FleetRunner:
             records: dict[str, JobRecord] = {}
             pending: list[FleetJob] = []
             for job in jobs:
-                hit = self.cache.get(job_cache_key(job)) if self.cache else None
+                hit = (
+                    self.cache.get(job_cache_key(job))
+                    if self.cache is not None
+                    else None
+                )
                 if hit is not None:
                     self._emit(
                         "cache_hit",
@@ -516,9 +521,8 @@ class FleetRunner:
         """Parallel execution with retry, watchdog, and pool replacement.
 
         With ``chunk_size > 1`` the first attempt of every job travels in
-        a chunk (one pickle round-trip per ``chunk_size`` jobs, evaluated
-        by the batch engine); failed entries are resubmitted as single
-        jobs so retries stay per-job.
+        a chunk (one pickle round-trip per ``chunk_size`` jobs); failed
+        entries are resubmitted as single jobs so retries stay per-job.
 
         A crashed worker (``BrokenProcessPool``) or an overdue job
         (``timeout_s``) kills and rebuilds the pool: the culprit unit is

@@ -195,10 +195,9 @@ def _simulate(payload: dict[str, Any]) -> RunResult:
 def execute_chunk(payloads: "list[dict[str, Any]]") -> dict[str, Any]:
     """Run a batch of job payloads in one worker round-trip.
 
-    The chunked pool target: payloads are grouped by (server, seed,
-    placement) and each group is evaluated through the vectorized batch
-    engine (:func:`repro.engine.batch.run_batch`), which is bit-identical
-    to per-job execution while amortising the pickle/dispatch overhead.
+    The chunked pool target: the payloads run one after another, which
+    is bit-identical to per-job execution while amortising the
+    pickle/dispatch overhead.
 
     Returns ``{"entries", "wall_s", "worker", "metrics"}`` where each
     entry is ``{"job_id", "result": RunResult | None, "error":
@@ -228,71 +227,20 @@ def execute_chunk(payloads: "list[dict[str, Any]]") -> dict[str, Any]:
 
 
 def _run_chunk(payloads: "list[dict[str, Any]]") -> list[dict[str, Any]]:
-    """Evaluate chunk payloads grouped per simulator via the batch engine."""
-    from repro.engine.batch import run_batch
-
-    entries: "list[dict[str, Any] | None]" = [None] * len(payloads)
-    groups: dict[tuple, list[int]] = {}
-    for i, payload in enumerate(payloads):
+    """Evaluate chunk payloads in order, one fault barrier per job."""
+    entries = []
+    for payload in payloads:
+        entry = {"job_id": payload["job_id"], "result": None, "error": None}
         fault: "FaultInjection | None" = payload["fault"]
-        if fault is not None and fault.should_fail(
-            payload["label"], payload["attempt"]
-        ):
-            try:
-                # crash exits here; hang sleeps here (chunk-level, as a
-                # hung member hangs its whole chunk in a real worker).
-                fault.trigger(payload["job_id"], payload["attempt"])
-            except InjectedFaultError as exc:
-                entries[i] = {
-                    "job_id": payload["job_id"],
-                    "result": None,
-                    "error": exc,
-                }
-                continue
-        key = (payload["server_json"], payload["seed"], payload["placement"])
-        groups.setdefault(key, []).append(i)
-    for (server_json, seed, placement), indices in groups.items():
-        simulator = _simulator_for(server_json, seed, placement)
-        workloads = []
-        runnable: list[int] = []
-        for i in indices:
-            try:
-                workloads.append(
-                    workload_from_dict(payloads[i]["workload"])
-                )
-            except Exception as exc:  # noqa: BLE001 - fault barrier
-                entries[i] = {
-                    "job_id": payloads[i]["job_id"],
-                    "result": None,
-                    "error": exc,
-                }
-            else:
-                runnable.append(i)
         try:
-            outs = run_batch(simulator, workloads)
-        except Exception:  # noqa: BLE001 - fault barrier
-            # Something in the group aborts whole-batch evaluation (a
-            # bind error outside the WorkloadError family, meter
-            # over-range...).  Fall back to per-job runs so the error
-            # lands only on the job that caused it — bit-identical, the
-            # streams are seeded per label.
-            outs = []
-            for workload in workloads:
-                try:
-                    outs.append(simulator.run(workload))
-                except Exception as exc:  # noqa: BLE001
-                    outs.append(exc)
-        for i, out in zip(runnable, outs):
-            if isinstance(out, Exception):
-                entries[i] = {
-                    "job_id": payloads[i]["job_id"],
-                    "result": None,
-                    "error": out,
-                }
-            else:
-                entries[i] = {
-                    "job_id": payloads[i]["job_id"],
-                    "result": out,
-                    "error": None,
-                }
+            if fault is not None and fault.should_fail(
+                payload["label"], payload["attempt"]
+            ):
+                # crash exits here; hang sleeps here (a hung member hangs
+                # its whole chunk, as it would in a real worker).
+                fault.trigger(payload["job_id"], payload["attempt"])
+            entry["result"] = _simulate(payload)
+        except Exception as exc:  # noqa: BLE001 - fault barrier
+            entry["error"] = exc
+        entries.append(entry)
     return entries

@@ -125,58 +125,18 @@ def _eval_matrix(iterations: int, seed: int) -> "tuple[float, dict[str, Any]]":
     return float(states), {"server": "Xeon-E5462", "states": states}
 
 
-def _sweep_engine(
-    engine: str,
-) -> Callable[[int, int], "tuple[float, dict[str, Any]]"]:
-    """Mixed-power sweep (Figs. 3-4 run list) through one engine."""
-
-    def run(iterations: int, seed: int) -> "tuple[float, dict[str, Any]]":
-        from repro.core.sweeps import mixed_power_sweep
-        from repro.engine.simulator import Simulator
-        from repro.hardware.specs import get_server
-
-        server = get_server("Xeon-E5462")
-        points = 0
-        for _ in range(iterations):
-            simulator = Simulator(server, seed=seed)
-            points += len(
-                mixed_power_sweep(simulator, (4, 2, 1), engine=engine)
-            )
-        return float(points), {
-            "server": "Xeon-E5462",
-            "engine": engine,
-            "points": points,
-        }
-
-    return run
-
-
-def _batch_vs_serial(
-    iterations: int, seed: int
-) -> "tuple[float, dict[str, Any]]":
-    """Both engines over the same sweep; meta records the speedup."""
+def _sweep(iterations: int, seed: int) -> "tuple[float, dict[str, Any]]":
+    """Mixed-power sweep (the Figs. 3-4 run list) on a fresh simulator."""
     from repro.core.sweeps import mixed_power_sweep
     from repro.engine.simulator import Simulator
     from repro.hardware.specs import get_server
 
     server = get_server("Xeon-E5462")
-    walls = {}
     points = 0
-    for engine in ("serial", "batch"):
-        t0 = time.perf_counter()
-        for _ in range(iterations):
-            simulator = Simulator(server, seed=seed)
-            points = len(
-                mixed_power_sweep(simulator, (4, 2, 1), engine=engine)
-            )
-        walls[engine] = time.perf_counter() - t0
-    speedup = walls["serial"] / walls["batch"] if walls["batch"] else 0.0
-    return float(points * iterations), {
-        "server": "Xeon-E5462",
-        "serial_wall_s": walls["serial"],
-        "batch_wall_s": walls["batch"],
-        "speedup": speedup,
-    }
+    for _ in range(iterations):
+        simulator = Simulator(server, seed=seed)
+        points += len(mixed_power_sweep(simulator, (4, 2, 1)))
+    return float(points), {"server": "Xeon-E5462", "points": points}
 
 
 def _fleet_scenario(
@@ -394,32 +354,12 @@ def _scenarios() -> "tuple[Scenario, ...]":
             )
     out.append(
         Scenario(
-            name="serial_sweep_cold",
-            description="mixed-power sweep through the serial simulator",
-            unit="points/s",
-            iterations_full=10,
-            iterations_quick=3,
-            run=_sweep_engine("serial"),
-        )
-    )
-    out.append(
-        Scenario(
             name="batch_sweep_cold",
-            description="mixed-power sweep through the batch engine",
+            description="mixed-power sweep run list on a fresh simulator",
             unit="points/s",
             iterations_full=10,
             iterations_quick=3,
-            run=_sweep_engine("batch"),
-        )
-    )
-    out.append(
-        Scenario(
-            name="batch_vs_serial",
-            description="both engines back-to-back; meta carries speedup",
-            unit="points/s",
-            iterations_full=5,
-            iterations_quick=2,
-            run=_batch_vs_serial,
+            run=_sweep,
         )
     )
     out.append(

@@ -816,7 +816,9 @@ class _ShedBackend(FleetBackend):
                 simulator.server, workload, simulator.seed, placement
             )
             hit = (
-                self.cache.get(job_cache_key(job)) if self.cache else None
+                self.cache.get(job_cache_key(job))
+                if self.cache is not None
+                else None
             )
             if hit is None:
                 uncached += 1

@@ -4,7 +4,8 @@ The ten evaluation states, run as single-node cluster jobs on a 1-node
 machine, must produce rows *bit-identical* to
 :func:`repro.core.evaluation.evaluate_server` — same trimmed-mean watts,
 same GFLOPS, same memory, same durations — under every execution path
-(serial simulator, vectorized batch engine, fleet process pool).
+(one ``Simulator.run`` call per unique run, the local run list, the
+fleet process pool).
 Digest equality is the whole claim: the cluster layer adds composition,
 never new per-node physics.
 """
@@ -35,9 +36,12 @@ def one_node_result(server_name, **kwargs):
     )
 
 
-@pytest.mark.parametrize("engine", ["serial", "batch"])
-def test_bit_identical_to_evaluate_server(engine, xeon_digest):
-    result = one_node_result("Xeon-E5462", engine=engine)
+@pytest.mark.parametrize("path", ["serial", "batch"])
+def test_bit_identical_to_evaluate_server(
+    path, one_run_per_call, xeon_digest
+):
+    backend = one_run_per_call if path == "serial" else None
+    result = one_node_result("Xeon-E5462", backend=backend)
     assert result.rows_digest() == xeon_digest
 
 

@@ -34,6 +34,19 @@ def any_server(request):
     return get_server(request.param)
 
 
+class OneRunPerCall:
+    """A ``map_runs`` backend that hands the simulator one run per call."""
+
+    def map_runs(self, simulator, workloads):
+        return [simulator.run(workload) for workload in workloads]
+
+
+@pytest.fixture(scope="session")
+def one_run_per_call():
+    """A backend running each workload through its own ``Simulator.run``."""
+    return OneRunPerCall()
+
+
 @pytest.fixture()
 def sim_e5462(e5462):
     """A deterministic simulator on the small server."""

@@ -112,6 +112,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             evaluate_server(e5462_module, Simulator(XEON_4870))
 
+    def test_unknown_engine_rejected(self, e5462_module):
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            evaluate_server(e5462_module, engine="gpu")
+
     def test_rank_servers_orders_by_score(self, result_e5462):
         from repro.hardware import OPTERON_8347
 

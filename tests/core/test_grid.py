@@ -115,13 +115,6 @@ class TestEvaluateGrid:
         again = evaluate_grid(StateGrid(server), seed=0)
         assert again.digest == result.digest
 
-    def test_engines_agree_on_the_grid(self):
-        server = get_zoo_server("Atom-C2750")
-        grid = StateGrid(server, pstates=(0, 1))
-        serial = evaluate_grid(grid, seed=0, engine="serial")
-        batch = evaluate_grid(grid, seed=0, engine="batch")
-        assert serial.digest == batch.digest
-
 
 class TestGridDocument:
     def test_schema(self):

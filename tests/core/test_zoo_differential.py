@@ -4,7 +4,8 @@ The tentpole contract: attaching DVFS, core types, and the state grid to
 the hardware layer leaves the three Table-I builtins *digest-identical*
 to their pre-zoo output — the pinned hex constants below were produced
 by the commit immediately before the zoo existed — under every execution
-path (serial simulator, vectorized batch engine, fleet process pool).
+path: one ``Simulator.run`` call per state, the local run list
+(``run_batch``), and the fleet process pool.
 """
 
 import tempfile
@@ -33,18 +34,16 @@ PINNED_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
 class TestBuiltinDigestIdentity:
-    def test_serial(self, name):
+    def test_serial(self, name, one_run_per_call):
         server = get_server(name)
         result = evaluate_server(
-            server, Simulator(server, seed=0), engine="serial"
+            server, Simulator(server, seed=0), backend=one_run_per_call
         )
         assert evaluation_digest(result) == PINNED_DIGESTS[name]
 
     def test_batch(self, name):
         server = get_server(name)
-        result = evaluate_server(
-            server, Simulator(server, seed=0), engine="batch"
-        )
+        result = evaluate_server(server, Simulator(server, seed=0))
         assert evaluation_digest(result) == PINNED_DIGESTS[name]
 
     def test_fleet(self, name):

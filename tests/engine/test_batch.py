@@ -1,113 +1,14 @@
-"""Batch engine unit surface: selection, result geometry, error policy."""
+"""Run lists: ``run_batch`` error policy."""
 
-import numpy as np
 import pytest
 
 from repro.demand import ResourceDemand
 from repro.engine import Simulator
-from repro.engine.batch import (
-    DEFAULT_ENGINE,
-    ENGINE_ENV_VAR,
-    ENGINES,
-    BatchEngine,
-    BatchResult,
-    resolve_engine,
-    run_batch,
-)
+from repro.engine.batch import run_batch
 from repro.engine.trace import RunResult
-from repro.errors import ConfigurationError, InsufficientMemoryError
-from repro.workloads.hpl import HplConfig, HplWorkload
+from repro.errors import InsufficientMemoryError, MeterError
+from repro.metering.meter import MeterSpec
 from repro.workloads.npb import NpbWorkload
-
-
-class TestResolveEngine:
-    def test_explicit_choice_wins(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "batch")
-        assert resolve_engine("serial") == "serial"
-
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "serial")
-        assert resolve_engine() == "serial"
-
-    def test_default_is_batch(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert resolve_engine() == DEFAULT_ENGINE == "batch"
-
-    def test_empty_env_var_means_default(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "")
-        assert resolve_engine() == DEFAULT_ENGINE
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            resolve_engine("gpu")
-
-    def test_unknown_env_engine_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "warp")
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            resolve_engine()
-
-    def test_catalogue(self):
-        assert ENGINES == ("serial", "batch")
-
-
-@pytest.fixture(scope="module")
-def batch_result(e5462) -> BatchResult:
-    """Two runnable NPB jobs of different durations plus one HPL run."""
-    workloads = [
-        NpbWorkload("ep", "C", 4),
-        NpbWorkload("mg", "C", 2),
-        HplWorkload(HplConfig(4, 0.95)),
-    ]
-    return BatchEngine(Simulator(e5462, seed=2015)).run(workloads)
-
-
-class TestBatchResult:
-    def test_items_align_with_input(self, batch_result):
-        assert len(batch_result.items) == 3
-        assert all(
-            isinstance(item, RunResult) for item in batch_result.items
-        )
-        assert batch_result.run_indices == (0, 1, 2)
-
-    def test_rows_are_nan_padded_to_longest(self, batch_result):
-        n_max = int(batch_result.lengths.max())
-        assert batch_result.times_s.shape == (3, n_max)
-        for row, length in enumerate(batch_result.lengths):
-            valid = batch_result.true_watts[row, :length]
-            pad = batch_result.true_watts[row, length:]
-            assert not np.isnan(valid).any()
-            assert np.isnan(pad).all()
-
-    def test_mask_matches_lengths(self, batch_result):
-        mask = batch_result.mask()
-        assert mask.shape == batch_result.times_s.shape
-        assert np.array_equal(mask.sum(axis=1), batch_result.lengths)
-
-    def test_rows_match_per_run_traces(self, batch_result):
-        for row, run in enumerate(batch_result.runs):
-            n = int(batch_result.lengths[row])
-            assert np.array_equal(
-                batch_result.measured_watts[row, :n], run.measured_watts
-            )
-            assert np.array_equal(
-                batch_result.memory_mb[row, :n], run.memory_mb
-            )
-
-    def test_n_samples_totals_the_traces(self, batch_result):
-        assert batch_result.n_samples == sum(
-            run.times_s.size for run in batch_result.runs
-        )
-
-    def test_pmu_matrix_stacks_all_runs(self, batch_result):
-        matrix = batch_result.pmu_matrix()
-        assert matrix.shape == (
-            sum(len(run.pmu_samples) for run in batch_result.runs),
-            6,
-        )
-
-    def test_server_and_seed_recorded(self, batch_result, e5462):
-        assert batch_result.server == e5462.name
-        assert batch_result.seed == 2015
 
 
 class TestErrorPolicy:
@@ -124,21 +25,16 @@ class TestErrorPolicy:
         assert isinstance(items[1], InsufficientMemoryError)
         assert isinstance(items[2], RunResult)
 
-    def test_failed_runs_are_excluded_from_arrays(self, e5462):
-        result = BatchEngine(Simulator(e5462, seed=2015)).run(
-            [NpbWorkload("cg", "C", 1), NpbWorkload("ep", "C", 4)]
-        )
-        assert result.run_indices == (1,)
-        assert result.times_s.shape[0] == 1
-        assert len(result.runs) == 1
+    def test_other_errors_propagate(self, e5462):
+        # A meter whose range the server's idle power already exceeds:
+        # over-range is a broken setup, not an unrunnable point.
+        tiny = MeterSpec("tiny", 10.0, 0.5, 0.001, 0.01)
+        simulator = Simulator(e5462, meter_spec=tiny, seed=2015)
+        with pytest.raises(MeterError, match="exceeds"):
+            run_batch(simulator, [ResourceDemand.idle(duration_s=30.0)])
 
     def test_empty_batch(self, e5462):
         assert run_batch(Simulator(e5462, seed=2015), []) == []
-        result = BatchEngine(Simulator(e5462, seed=2015)).run([])
-        assert result.n_samples == 0
-        assert result.mask().shape == (0, 0)
-        with pytest.raises(ConfigurationError, match="no successful runs"):
-            result.pmu_matrix()
 
     def test_bare_demand_accepted(self, e5462):
         demand = ResourceDemand.idle(duration_s=30.0)

@@ -1,9 +1,9 @@
 """Chunked fleet execution: batching jobs per worker round-trip.
 
 Chunking is the default; ``chunk_size=1`` restores per-job dispatch.
-The contract: identical results either way (the chunk body runs the
-batch engine, which is bit-identical to serial), identical retry
-arithmetic (the chunk pass counts as attempt 1, retries go out as
+The contract: identical results either way (the chunk body runs its
+jobs one after another, exactly as per-job dispatch does), identical
+retry arithmetic (the chunk pass counts as attempt 1, retries go out as
 single jobs), and identical event/cache behaviour.
 """
 

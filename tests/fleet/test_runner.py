@@ -1,5 +1,7 @@
 """Fleet runner: pool execution, caching, retries, graceful degradation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from repro.fleet import (
     demo_campaign,
     read_events,
 )
+from repro.fleet.spec import workload_to_dict
+from repro.workloads.npb import NpbWorkload
 
 NO_BACKOFF = RetryPolicy(max_attempts=3, backoff_s=0.0)
 
@@ -63,6 +67,22 @@ class TestCacheIntegration:
         # accounting, not the (near-zero) cache read time.
         assert all(r.wall_s > 0 for r in warm.records)
 
+    def test_lookup_never_sizes_the_cache(
+        self, tmp_path, campaign, monkeypatch
+    ):
+        # Sizing the cache globs its whole directory; a per-job lookup
+        # must only ever ask for its own key.
+        cache = ResultCache(tmp_path / "cache")
+        FleetRunner(workers=1, cache=cache).run(campaign)
+
+        def no_len(self):
+            raise AssertionError("ResultCache.__len__ called")
+
+        monkeypatch.setattr(ResultCache, "__len__", no_len)
+        warm = FleetRunner(workers=1, cache=cache).run(campaign)
+        assert warm.ok
+        assert warm.cache_hits == len(campaign.jobs())
+
     def test_cache_shared_between_runners(self, tmp_path, campaign):
         cache = ResultCache(tmp_path / "cache")
         FleetRunner(workers=1, cache=cache).run(campaign)
@@ -102,6 +122,33 @@ class TestFaultTolerance:
         assert sum(1 for r in outcome.records if r.ok) == len(
             campaign.jobs()
         ) - 1
+
+    def test_domain_error_from_a_pool_worker_fails_only_its_job(
+        self, tmp_path, campaign
+    ):
+        # bt needs a square process count: the worker's bind raises
+        # InvalidProcessCountError, which must come back through the
+        # result pipe intact instead of breaking the pool.
+        mixed = dataclasses.replace(
+            campaign,
+            workloads=campaign.workloads
+            + (workload_to_dict(NpbWorkload("bt", "B", 3)),),
+        )
+        log_path = tmp_path / "events.jsonl"
+        with EventLog(log_path) as events:
+            outcome = FleetRunner(
+                workers=2,
+                retry=RetryPolicy(max_attempts=1),
+                events=events,
+            ).run(mixed)
+        (failure,) = outcome.failures
+        assert failure.label == "bt.B.3"
+        assert "InvalidProcessCountError" in failure.error
+        assert sum(1 for r in outcome.records if r.ok) == len(
+            campaign.jobs()
+        )
+        kinds = {r["kind"] for r in read_events(log_path)}
+        assert "pool_replaced" not in kinds
 
     def test_inline_runner_retries_too(self, campaign):
         runner = FleetRunner(

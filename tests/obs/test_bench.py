@@ -190,20 +190,4 @@ class TestSchemaVersion:
 class TestEngineScenarios:
     def test_engine_scenarios_registered(self):
         names = [s.name for s in bench.available_scenarios()]
-        for name in (
-            "serial_sweep_cold", "batch_sweep_cold", "batch_vs_serial",
-        ):
-            assert name in names
-
-    def test_batch_vs_serial_meta_carries_speedup(self):
-        document = bench.run_bench(
-            quick=True, repeat=1, only=["batch_vs_serial"]
-        )
-        (entry,) = document["scenarios"]
-        meta = entry["meta"]
-        assert meta["server"] == "Xeon-E5462"
-        assert meta["serial_wall_s"] > 0
-        assert meta["batch_wall_s"] > 0
-        assert meta["speedup"] == pytest.approx(
-            meta["serial_wall_s"] / meta["batch_wall_s"]
-        )
+        assert "batch_sweep_cold" in names

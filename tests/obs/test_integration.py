@@ -181,10 +181,10 @@ class TestCliObs:
         assert code == 0
         assert "trace:" in err
         records = obs.load_jsonl(trace)
-        # The default batch engine evaluates the ten states in one span.
-        batch_spans = [r for r in records if r.name == "engine.batch"]
-        assert len(batch_spans) == 1
-        assert batch_spans[0].attrs["runs"] == 10
+        # One span per simulated state.
+        run_spans = [r for r in records if r.name == "sim.run"]
+        assert len(run_spans) == 10
+        assert {r.attrs["server"] for r in run_spans} == {"Xeon-E5462"}
 
     def test_trace_flag_does_not_leak_enablement(self, capsys, tmp_path):
         run_cli(
@@ -198,7 +198,7 @@ class TestCliObs:
         run_cli(capsys, "evaluate", "Xeon-E5462", "--trace", str(trace))
         code, out, _ = run_cli(capsys, "trace", "tree", str(trace))
         assert code == 0
-        assert "engine.batch" in out
+        assert "sim.run" in out
 
     def test_trace_tree_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -1,10 +1,10 @@
-"""Property-based equivalence of the batch and serial engines.
+"""Property: a run's result does not depend on the run list around it.
 
-The differential suite pins the curated workload families; these
-properties fuzz the demand space itself — arbitrary valid
-:class:`ResourceDemand` mixes on every builtin server must come out of
-the batch engine bit-identical to the serial simulator, and the batch
-result of a run must not depend on which other runs share the batch.
+The pin suite (``tests/engine/test_simulator_pins.py``) fixes the
+curated workload families bit for bit; this property fuzzes the demand
+space itself — for arbitrary valid :class:`ResourceDemand` mixes on
+every builtin server, reordering a run list or taking any subset of it
+reproduces each member's result exactly.
 """
 
 import numpy as np
@@ -15,10 +15,7 @@ from repro.demand import ResourceDemand
 from repro.engine import Simulator
 from repro.engine.batch import run_batch
 from repro.engine.trace import RunResult
-from repro.errors import WorkloadError
 from repro.hardware import OPTERON_8347, XEON_4870, XEON_E5462
-from repro.workloads.hpl import HplConfig, HplWorkload
-from repro.workloads.npb import NPB_PROGRAMS, NpbWorkload
 
 SERVERS = (XEON_E5462, OPTERON_8347, XEON_4870)
 
@@ -66,64 +63,6 @@ def assert_runs_identical(a: RunResult, b: RunResult) -> None:
     assert np.array_equal(a.memory_mb, b.memory_mb)
     assert a.pmu_samples == b.pmu_samples
     assert a.power_factor == b.power_factor
-
-
-@settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(case=server_and_demands(), seed=st.integers(0, 2**16))
-def test_batch_matches_serial_on_random_demands(case, seed):
-    server, batch = case
-    serial = [Simulator(server, seed=seed).run(d) for d in batch]
-    batched = run_batch(Simulator(server, seed=seed), batch)
-    for a, b in zip(serial, batched):
-        assert_runs_identical(a, b)
-
-
-hpl_workloads = st.builds(
-    HplWorkload,
-    st.builds(
-        HplConfig,
-        st.sampled_from([1, 2, 4]),
-        st.sampled_from([0.5, 0.95]),
-    ),
-)
-npb_workloads = st.builds(
-    NpbWorkload,
-    st.sampled_from(sorted(NPB_PROGRAMS)),
-    st.sampled_from(["W", "A", "B", "C"]),
-    st.sampled_from([1, 2, 4]),
-)
-
-
-@settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(
-    server=st.sampled_from(SERVERS),
-    workloads=st.lists(
-        st.one_of(hpl_workloads, npb_workloads), min_size=1, max_size=4
-    ),
-    seed=st.integers(0, 2**16),
-)
-def test_batch_matches_serial_on_random_workloads(server, workloads, seed):
-    """Modelled workloads (bind-time errors included) behave identically."""
-    simulator = Simulator(server, seed=seed)
-    serial = []
-    for workload in workloads:
-        try:
-            serial.append(Simulator(server, seed=seed).run(workload))
-        except WorkloadError as exc:
-            serial.append(exc)
-    for a, b in zip(serial, run_batch(simulator, workloads)):
-        if isinstance(a, WorkloadError):
-            assert type(b) is type(a) and str(b) == str(a)
-        else:
-            assert_runs_identical(a, b)
 
 
 @settings(

@@ -127,6 +127,33 @@ class TestDedup:
 
 
 class TestOverload:
+    def test_shed_lookup_never_sizes_the_cache(self, tmp_path, monkeypatch):
+        # Sizing the cache globs its whole directory; the shed backend's
+        # per-workload lookup must only ever ask for its own key.
+        from repro.core.states import evaluation_states
+        from repro.fleet import FleetBackend, ResultCache
+        from repro.serve.scheduler import _ShedBackend
+
+        server = get_server("Xeon-E5462")
+        workloads = [
+            s.workload for s in evaluation_states(server) if not s.is_idle
+        ]
+        cache = ResultCache(tmp_path / "cache")
+        cold = FleetBackend(workers=1, cache=cache).map_runs(
+            Simulator(server), workloads
+        )
+
+        def no_len(self):
+            raise AssertionError("ResultCache.__len__ called")
+
+        monkeypatch.setattr(ResultCache, "__len__", no_len)
+        shed = _ShedBackend(workers=1, cache=cache)
+        shed.budget = 0  # every uncached workload would be shed
+        warm = shed.map_runs(Simulator(server), workloads)
+        assert [w.measured_watts.tolist() for w in warm] == [
+            c.measured_watts.tolist() for c in cold
+        ]
+
     def test_backlog_sheds_to_partial_evaluation(self, tmp_path):
         # One slot and a tiny backlog bound: drown it so dispatch
         # crosses the shed threshold and degrades to partial.

@@ -1,9 +1,12 @@
 """The ResourceDemand contract."""
 
+import json
+
 import pytest
 
 from repro.demand import ResourceDemand
 from repro.errors import ConfigurationError
+from repro.fleet.spec import workload_from_dict
 
 
 def _demand(**overrides):
@@ -106,3 +109,29 @@ def test_frozen():
     d = _demand()
     with pytest.raises(AttributeError):
         d.nprocs = 2
+
+
+_DEMAND_JSON = (
+    '{"type": "demand", "program": "x", "nprocs": 2, '
+    '"duration_s": %s, "gflops": %s, "memory_mb": %s}'
+)
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        pytest.param('{"type": "idle", "duration_s": NaN}', id="idle-nan"),
+        pytest.param('{"type": "idle", "duration_s": Infinity}', id="idle-inf"),
+        pytest.param(_DEMAND_JSON % ("NaN", "1", "100"), id="duration-nan"),
+        pytest.param(_DEMAND_JSON % ("Infinity", "1", "100"), id="duration-inf"),
+        pytest.param(_DEMAND_JSON % ("60", "NaN", "100"), id="gflops-nan"),
+        pytest.param(_DEMAND_JSON % ("60", "Infinity", "100"), id="gflops-inf"),
+        pytest.param(_DEMAND_JSON % ("60", "1", "NaN"), id="memory-nan"),
+        pytest.param(_DEMAND_JSON % ("60", "1", "Infinity"), id="memory-inf"),
+    ],
+)
+def test_non_finite_fields_rejected(document):
+    # json.loads accepts NaN and Infinity, so a campaign document can
+    # carry them; they must stop at the demand, not inside a run.
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        workload_from_dict(json.loads(document))
