@@ -7,7 +7,10 @@ returned without touching the pool, which is what makes repeated sweeps
 and benchmarks near-free.  Failed attempts are retried with exponential
 backoff up to the retry policy's budget; jobs that exhaust it are
 recorded in the outcome's failure report while the rest of the campaign
-completes — a campaign never aborts because one point misbehaved.
+completes — a campaign never aborts because one point misbehaved.  A
+deterministic error (a :class:`~repro.errors.ConfigurationError` or
+:class:`~repro.errors.WorkloadError`: the job itself is invalid) fails
+its job on the first attempt, since every retry would fail the same way.
 
 Determinism: the simulator derives every random stream from ``(seed,
 program label)``, so fleet execution order, worker count, and cache hits
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.engine.trace import RunResult
-from repro.errors import ConfigurationError, JobTimeoutError
+from repro.errors import ConfigurationError, JobTimeoutError, WorkloadError
 from repro.fleet.cache import ResultCache, job_cache_key
 from repro.fleet.events import EventLog
 from repro.fleet.spec import CampaignSpec, FleetJob
@@ -45,6 +48,7 @@ from repro.fleet.worker import (
 )
 
 __all__ = [
+    "DETERMINISTIC_ERRORS",
     "RetryPolicy",
     "JobFailure",
     "JobRecord",
@@ -56,6 +60,11 @@ __all__ = [
 
 #: Watchdog poll floor, seconds — how stale a deadline check may go.
 _WATCHDOG_TICK_S = 0.05
+
+#: Errors a retry cannot cure: the job's own spec is invalid (a bad
+#: process count, a footprint larger than the server's memory), so every
+#: attempt fails the same way.
+DETERMINISTIC_ERRORS = (ConfigurationError, WorkloadError)
 
 
 def default_workers() -> int:
@@ -86,6 +95,9 @@ class RetryPolicy:
     the job's seed and the attempt number, so retry timing is exactly
     reproducible across runs, which the rest of the fleet's
     bit-identical guarantee demands.
+
+    Only transient failures are retried: :meth:`should_retry` refuses
+    :data:`DETERMINISTIC_ERRORS` at any attempt.
     """
 
     max_attempts: int = 3
@@ -111,6 +123,12 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"jitter must be in [0, 1], got {self.jitter}"
             )
+
+    def should_retry(self, attempt: int, exc: BaseException) -> bool:
+        """Whether failed ``attempt`` (1-based) of a job earns another."""
+        return attempt < self.max_attempts and not isinstance(
+            exc, DETERMINISTIC_ERRORS
+        )
 
     def delay_s(self, attempt: int, seed: "int | None" = None) -> float:
         """Sleep before re-submitting after failed ``attempt`` (1-based).
@@ -473,7 +491,7 @@ class FleetRunner:
                 try:
                     out = execute_job(job_payload(job, attempt, self.fault))
                 except Exception as exc:  # noqa: BLE001 - fault barrier
-                    if attempt < self.retry.max_attempts:
+                    if self.retry.should_retry(attempt, exc):
                         self._emit_retry(name, job, attempt, exc)
                         time.sleep(self.retry.delay_s(attempt, seed=job.seed))
                         attempt += 1
@@ -494,7 +512,7 @@ class FleetRunner:
         """Retry a job whose chunk attempt (attempt 1) failed, inline."""
         attempt = 1
         while True:
-            if attempt >= self.retry.max_attempts:
+            if not self.retry.should_retry(attempt, exc):
                 records[job.job_id] = self._failed(name, job, attempt, exc)
                 return
             self._emit_retry(name, job, attempt, exc)
@@ -572,7 +590,7 @@ class FleetRunner:
 
         def charge(job: FleetJob, attempt: int, exc: BaseException) -> None:
             """Charge one failed attempt: requeue solo, or record failure."""
-            if attempt < self.retry.max_attempts:
+            if self.retry.should_retry(attempt, exc):
                 self._emit_retry(name, job, attempt, exc)
                 time.sleep(self.retry.delay_s(attempt, seed=job.seed))
                 queue.append(

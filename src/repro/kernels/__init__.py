@@ -28,7 +28,12 @@ grounded in running code:
 from repro.kernels.nas_rng import NasRandom, lcg_modmul, lcg_power
 from repro.kernels.ep import EpResult, run_ep
 from repro.kernels.linalg import blocked_dgemm, blocked_lu, hpl_residual, lu_solve
-from repro.kernels.cg import CgResult, conjugate_gradient, random_spd_matrix
+from repro.kernels.cg import (
+    CgResult,
+    CsrMatrix,
+    conjugate_gradient,
+    random_spd_matrix,
+)
 from repro.kernels.mg import MgResult, poisson_rhs, v_cycle_solve
 from repro.kernels.ft import FtResult, run_ft
 from repro.kernels.is_ import IsResult, run_is
@@ -50,6 +55,7 @@ __all__ = [
     "hpl_residual",
     "lu_solve",
     "CgResult",
+    "CsrMatrix",
     "conjugate_gradient",
     "random_spd_matrix",
     "MgResult",

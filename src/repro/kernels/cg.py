@@ -9,19 +9,80 @@ guarantee positive definiteness).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import ConfigurationError
 
-__all__ = ["random_spd_matrix", "conjugate_gradient", "CgResult"]
+__all__ = ["CsrMatrix", "random_spd_matrix", "conjugate_gradient", "CgResult"]
+
+
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """A sparse matrix in compressed-sparse-row (CSR) form.
+
+    Row ``i`` holds ``data[indptr[i]:indptr[i + 1]]`` at columns
+    ``indices[indptr[i]:indptr[i + 1]]``, one entry per (row, column).
+    It supports what the CG loop needs: ``A @ x`` for a vector ``x``,
+    plus ``toarray()``, ``nnz`` and ``shape``.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+    _rows: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        counts = np.diff(self.indptr)
+        object.__setattr__(
+            self, "_rows", np.repeat(np.arange(self.shape[0]), counts)
+        )
+
+    @classmethod
+    def from_triplets(
+        cls,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        vals: np.ndarray,
+        shape: tuple[int, int],
+    ) -> "CsrMatrix":
+        """Sum duplicate (row, column) entries and drop exact zeros."""
+        keys = np.asarray(rows, dtype=np.int64) * shape[1] + cols
+        unique, inverse = np.unique(keys, return_inverse=True)
+        sums = np.bincount(inverse, weights=vals, minlength=unique.size)
+        keep = sums != 0.0
+        unique, sums = unique[keep], sums[keep]
+        counts = np.bincount(unique // shape[1], minlength=shape[0])
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        return cls(sums, unique % shape[1], indptr, shape)
+
+    @property
+    def nnz(self) -> int:
+        """Number of stored entries."""
+        return int(self.data.size)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.shape[1],):
+            raise ConfigurationError(
+                f"vector must have shape ({self.shape[1]},), got {x.shape}"
+            )
+        return np.bincount(
+            self._rows, weights=self.data * x[self.indices], minlength=self.shape[0]
+        )
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix."""
+        dense = np.zeros(self.shape)
+        dense[self._rows, self.indices] = self.data
+        return dense
 
 
 def random_spd_matrix(
     n: int, nonzeros_per_row: int = 7, shift: float = 10.0, seed: int = 0
-) -> sparse.csr_matrix:
+) -> CsrMatrix:
     """A random sparse symmetric positive-definite matrix.
 
     Builds ``B + B^T`` from a random sparse pattern and adds
@@ -38,13 +99,21 @@ def random_spd_matrix(
     rows = np.repeat(np.arange(n), nonzeros_per_row)
     cols = rng.integers(0, n, size=n * nonzeros_per_row)
     vals = rng.uniform(-1.0, 1.0, size=n * nonzeros_per_row)
-    b = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    sym = b + b.T
+    sym = CsrMatrix.from_triplets(
+        np.concatenate([rows, cols]),
+        np.concatenate([cols, rows]),
+        np.concatenate([vals, vals]),
+        (n, n),
+    )
     # Diagonal dominance: |diag| exceeds the row's absolute off-diag sum.
-    row_mass = np.abs(sym).sum(axis=1).A1 if hasattr(
-        np.abs(sym).sum(axis=1), "A1"
-    ) else np.asarray(np.abs(sym).sum(axis=1)).ravel()
-    return (sym + sparse.diags(row_mass + shift)).tocsr()
+    row_mass = np.bincount(sym._rows, weights=np.abs(sym.data), minlength=n)
+    diagonal = np.arange(n)
+    return CsrMatrix.from_triplets(
+        np.concatenate([sym._rows, diagonal]),
+        np.concatenate([sym.indices, diagonal]),
+        np.concatenate([sym.data, row_mass + shift]),
+        (n, n),
+    )
 
 
 @dataclass(frozen=True)
@@ -58,7 +127,7 @@ class CgResult:
 
 
 def conjugate_gradient(
-    a: sparse.csr_matrix,
+    a: CsrMatrix,
     b: np.ndarray,
     tol: float = 1e-10,
     max_iterations: int | None = None,

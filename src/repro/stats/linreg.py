@@ -5,18 +5,26 @@
 :func:`forward_stepwise` implements the variable-selection procedure the
 paper uses to pick its six indices (Section VI-A), with the partial
 F-to-enter stopping rule from Bendel & Afifi (1977).
+:func:`f1_upper_quantile` supplies that rule's critical value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from repro.errors import RegressionError
 
-__all__ = ["OlsModel", "fit_ols", "forward_stepwise", "StepwiseResult"]
+__all__ = [
+    "OlsModel",
+    "fit_ols",
+    "forward_stepwise",
+    "StepwiseResult",
+    "f1_upper_quantile",
+]
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,70 @@ class StepwiseResult:
         return [names[i] for i in self.selected]
 
 
+def _t_two_sided_tail(t: float, d: int) -> float:
+    """``P(|T| > t)`` for Student's t with ``d`` degrees of freedom.
+
+    The finite series of Abramowitz & Stegun 26.7.3-4 for ``A(t|d) =
+    P(|T| <= t)`` with ``theta = atan(t / sqrt(d))``: for odd ``d``,
+    ``(2/pi) (theta + sin(theta) (cos(theta) + (2/3) cos^3(theta) + ...))``
+    with ``(d - 1) / 2`` cosine terms; for even ``d``, ``sin(theta) (1 +
+    (1/2) cos^2(theta) + (1*3)/(2*4) cos^4(theta) + ...)`` with ``d / 2``
+    terms.  Every term is positive, so the sum loses nothing to
+    cancellation.
+    """
+    theta = math.atan2(t, math.sqrt(d))
+    sin, cos2 = math.sin(theta), math.cos(theta) ** 2
+    if d % 2:
+        term = total = math.cos(theta) if d > 1 else 0.0
+        for k in range(1, (d - 1) // 2):
+            term *= cos2 * (2 * k) / (2 * k + 1)
+            total += term
+        inside = 2.0 / math.pi * (theta + sin * total)
+    else:
+        term = total = 1.0
+        for k in range(1, d // 2):
+            term *= cos2 * (2 * k - 1) / (2 * k)
+            total += term
+        inside = sin * total
+    return 1.0 - inside
+
+
+@lru_cache(maxsize=None)
+def f1_upper_quantile(alpha: float, d: int) -> float:
+    """The upper-``alpha`` quantile of the F(1, ``d``) distribution.
+
+    Equal to ``scipy.stats.f.ppf(1 - alpha, 1, d)``.  F(1, d) is the
+    square of Student's t with ``d`` degrees of freedom, so this is the
+    squared ``t`` with ``P(|T| > t) = alpha``.  Newton's method on that
+    tail (convex and decreasing in ``t``) climbs to the root from ``t =
+    0`` without overshooting; the slope is twice the t density.
+    Each Newton step sums about ``d / 2`` series terms (a few ms at the
+    6000-observation Xeon-4870 study), and results are memoised:
+    forward stepwise asks for one value per step.
+
+    The series sums ``P(|T| <= t)``, so the tail carries an absolute
+    error of a few ulps of 1: about 1e-12 relative for ``alpha >= 0.01``,
+    growing as ``1e-16 / alpha`` below that.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise RegressionError(f"alpha must be in (0, 1), got {alpha}")
+    if d < 1:
+        raise RegressionError(f"degrees of freedom must be >= 1, got {d}")
+    log_norm = (
+        math.lgamma((d + 1) / 2)
+        - math.lgamma(d / 2)
+        - 0.5 * math.log(d * math.pi)
+    )
+    t = 0.0
+    for _ in range(200):
+        density = math.exp(log_norm - (d + 1) / 2 * math.log1p(t * t / d))
+        step = (_t_two_sided_tail(t, d) - alpha) / (2.0 * density)
+        if step <= 4.0 * math.ulp(t):
+            break
+        t += step
+    return t * t
+
+
 def _rss(x: np.ndarray, y: np.ndarray) -> float:
     design = np.hstack([x, np.ones((x.shape[0], 1))])
     solution, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -195,7 +267,7 @@ def forward_stepwise(
             break
         f_stat, j, rss_new = best
         dof = n - len(selected) - 2
-        critical = float(sp_stats.f.ppf(1.0 - alpha_enter, 1, max(dof, 1)))
+        critical = f1_upper_quantile(alpha_enter, max(dof, 1))
         if f_stat < critical:
             break
         selected.append(j)

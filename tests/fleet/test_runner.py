@@ -1,11 +1,17 @@
 """Fleet runner: pool execution, caching, retries, graceful degradation."""
 
 import dataclasses
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import (
+    ConfigurationError,
+    InsufficientMemoryError,
+    InvalidProcessCountError,
+    JobTimeoutError,
+)
 from repro.fleet import (
     EventLog,
     FaultInjection,
@@ -16,6 +22,7 @@ from repro.fleet import (
     read_events,
 )
 from repro.fleet.spec import workload_to_dict
+from repro.fleet.worker import InjectedFaultError
 from repro.workloads.npb import NpbWorkload
 
 NO_BACKOFF = RetryPolicy(max_attempts=3, backoff_s=0.0)
@@ -128,27 +135,29 @@ class TestFaultTolerance:
     ):
         # bt needs a square process count: the worker's bind raises
         # InvalidProcessCountError, which must come back through the
-        # result pipe intact instead of breaking the pool.
+        # result pipe intact instead of breaking the pool, and fail its
+        # job on the first attempt under the default retry policy.
         mixed = dataclasses.replace(
             campaign,
             workloads=campaign.workloads
             + (workload_to_dict(NpbWorkload("bt", "B", 3)),),
         )
-        log_path = tmp_path / "events.jsonl"
-        with EventLog(log_path) as events:
-            outcome = FleetRunner(
-                workers=2,
-                retry=RetryPolicy(max_attempts=1),
-                events=events,
-            ).run(mixed)
-        (failure,) = outcome.failures
-        assert failure.label == "bt.B.3"
-        assert "InvalidProcessCountError" in failure.error
-        assert sum(1 for r in outcome.records if r.ok) == len(
-            campaign.jobs()
-        )
-        kinds = {r["kind"] for r in read_events(log_path)}
-        assert "pool_replaced" not in kinds
+        for workers in (1, 2):
+            log_path = tmp_path / f"events-{workers}.jsonl"
+            with EventLog(log_path) as events:
+                outcome = FleetRunner(
+                    workers=workers, retry=RetryPolicy(), events=events
+                ).run(mixed)
+            (failure,) = outcome.failures
+            assert failure.label == "bt.B.3"
+            assert failure.attempts == 1
+            assert failure.error.startswith("InvalidProcessCountError: ")
+            assert sum(1 for r in outcome.records if r.ok) == len(
+                campaign.jobs()
+            )
+            kinds = {r["kind"] for r in read_events(log_path)}
+            assert "pool_replaced" not in kinds
+            assert "job_retry" not in kinds
 
     def test_inline_runner_retries_too(self, campaign):
         runner = FleetRunner(
@@ -172,6 +181,26 @@ class TestFaultTolerance:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ConfigurationError):
             RetryPolicy(backoff_s=-1.0)
+
+    def test_only_transient_errors_are_retried(self):
+        policy = RetryPolicy(max_attempts=3)
+        deterministic = [
+            ConfigurationError("bad spec"),
+            InvalidProcessCountError("bt", 3, "a square number"),
+            InsufficientMemoryError("cg.C.4", 9156.0, 7592.0),
+        ]
+        for exc in deterministic:
+            assert not policy.should_retry(1, exc)
+        transient = [
+            InjectedFaultError("injected"),
+            JobTimeoutError("no result"),
+            BrokenProcessPool("worker died"),
+            OSError("disk hiccup"),
+        ]
+        for exc in transient:
+            assert policy.should_retry(1, exc)
+            assert policy.should_retry(2, exc)
+            assert not policy.should_retry(3, exc)
 
 
 class TestEventLog:

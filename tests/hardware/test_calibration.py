@@ -1,24 +1,64 @@
 """Calibration against the paper's published watts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.errors import CalibrationError
+from repro.hardware import calibration
 from repro.hardware.calibration import (
+    DEFAULT_RIDGE_LAMBDA,
     PAPER_IDLE_WATTS,
     PAPER_POWER_ANCHORS,
     anchor_demand,
     calibrate_server,
     calibrated_power_model,
     default_coefficients,
+    nnls,
 )
 from repro.hardware.specs import (
+    BUILTIN_SERVERS,
     MemorySpec,
     ProcessorSpec,
     ServerSpec,
     XEON_4870,
     XEON_E5462,
+    get_server,
 )
+
+#: Every builtin server's calibrated coefficients as exact hex floats:
+#: the values the scipy-fitted calibration produced, which the digest
+#: pins of the paper's exhibits hang on.
+PINNED_COEFFICIENTS = {
+    "Xeon-E5462": {
+        "p_idle": "0x1.0cbed288ce704p+7",
+        "chip_uncore": "0x1.3f5da60d1eb86p+3",
+        "shared_sqrt": "0x1.d2658513de13ap+2",
+        "core_active": "0x1.48b3454a5c43bp+1",
+        "core_intensity": "0x1.ff4b272b77ae5p+3",
+        "mem_dyn": "0x1.3333333333333p-3",
+        "comm": "0x1.4000000000000p+1",
+    },
+    "Opteron-8347": {
+        "p_idle": "0x1.37857a786c227p+8",
+        "chip_uncore": "0x1.f9f0737c97a0bp+3",
+        "shared_sqrt": "0x1.07142aaac8d6fp+5",
+        "core_active": "0x0.0p+0",
+        "core_intensity": "0x1.97d0bb157d28bp+1",
+        "mem_dyn": "0x1.3333333333333p-3",
+        "comm": "0x1.4000000000000p+1",
+    },
+    "Xeon-4870": {
+        "p_idle": "0x1.411d70a3d70a4p+9",
+        "chip_uncore": "0x0.0p+0",
+        "shared_sqrt": "0x1.25d9c3d6c33c9p+3",
+        "core_active": "0x0.0p+0",
+        "core_intensity": "0x1.6026025450326p+3",
+        "mem_dyn": "0x1.3333333333333p-3",
+        "comm": "0x1.4000000000000p+1",
+    },
+}
 
 
 class TestAnchors:
@@ -157,3 +197,100 @@ class TestAnchorReproduction:
             assert predicted == pytest.approx(anchor.watts, rel=0.12), (
                 f"{server_name} {d.program}"
             )
+
+
+def builtin_problem(name):
+    return calibration._fit_problem(
+        get_server(name),
+        PAPER_POWER_ANCHORS[name],
+        PAPER_IDLE_WATTS[name],
+        DEFAULT_RIDGE_LAMBDA,
+    )
+
+
+class TestBuiltinFits:
+    """The checked-in builtin fits and the numpy NNLS that guards them."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SERVERS))
+    def test_coefficients_are_bit_identical_to_the_pins(self, name):
+        server = get_server(name)
+        fitted = calibrate_server(server).coefficients
+        modelled = calibrated_power_model(server).coefficients
+        for coefficients in (fitted, modelled):
+            assert {
+                k: float(v).hex()
+                for k, v in dataclasses.asdict(coefficients).items()
+            } == PINNED_COEFFICIENTS[name]
+
+    def test_every_builtin_has_a_checked_in_fit(self):
+        assert set(calibration._BUILTIN_FITS) == set(BUILTIN_SERVERS)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SERVERS))
+    def test_scipy_reproduces_the_checked_in_fit_bit_for_bit(self, name):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        problem = builtin_problem(name)
+        solution, _ = scipy_optimize.nnls(problem.stacked_a, problem.stacked_b)
+        fitted = tuple(float(v).hex() for v in solution)
+        checked_in = tuple(v.hex() for v in calibration._BUILTIN_FITS[name])
+        assert fitted == checked_in, (
+            f"scipy fits {name} differently; if the anchors changed on "
+            f"purpose, set _BUILTIN_FITS[{name!r}] to:\n"
+            + "".join(f'    "{h}",\n' for h in fitted)
+        )
+
+    def test_numpy_nnls_agrees_with_scipy_on_random_problems(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(2015)
+        zeros = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            m = int(rng.integers(n, 3 * n + 4))
+            a = rng.standard_normal((m, n))
+            b = rng.standard_normal(m)
+            reference, _ = scipy_optimize.nnls(a, b)
+            assert np.abs(nnls(a, b) - reference).max() <= 1e-12
+            zeros += int((reference == 0).sum())
+        assert zeros > 100  # the active set is exercised, not just lstsq
+
+    def test_a_drifted_fit_raises(self, monkeypatch):
+        fits = dict(calibration._BUILTIN_FITS)
+        fits["Xeon-E5462"] = tuple(
+            v * (1.0 + 1e-6) for v in fits["Xeon-E5462"]
+        )
+        monkeypatch.setattr(calibration, "_BUILTIN_FITS", fits)
+        with pytest.raises(CalibrationError, match="checked-in builtin fit"):
+            calibrate_server(XEON_E5462)
+
+    def test_a_changed_zero_pattern_raises(self, monkeypatch):
+        # The Opteron fit parks core_active at exactly zero; a checked-in
+        # value that is not zero, however tiny, is a different active set.
+        fits = dict(calibration._BUILTIN_FITS)
+        opteron = list(fits["Opteron-8347"])
+        assert opteron[2] == 0.0
+        opteron[2] = 1e-300
+        fits["Opteron-8347"] = tuple(opteron)
+        monkeypatch.setattr(calibration, "_BUILTIN_FITS", fits)
+        with pytest.raises(CalibrationError, match="checked-in builtin fit"):
+            calibrate_server(get_server("Opteron-8347"))
+
+    def test_other_systems_use_the_numpy_fit(self):
+        # A different ridge is a different system: no checked-in fit.
+        report = calibrate_server(XEON_E5462, ridge_lambda=0.2)
+        pinned = calibrate_server(XEON_E5462)
+        assert report.coefficients != pinned.coefficients
+        assert report.coefficients.p_idle == pinned.coefficients.p_idle
+
+
+class TestNnls:
+    def test_textbook_problems(self):
+        a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_allclose(
+            nnls(a, np.array([2.0, 1.0, 1.0])), [1.5, 1.0], atol=1e-14
+        )
+        assert nnls(a, np.array([-1.0, -1.0, -1.0])).tolist() == [0.0, 0.0]
+
+    def test_cut_back_to_the_boundary(self):
+        # Both columns free gives x0 = -3; the step is cut back there.
+        a = np.array([[1.0, 0.0], [3.0, 1.0], [0.0, 0.0]])
+        b = np.array([-3.0, 3.0, 0.0])
+        np.testing.assert_allclose(nnls(a, b), [0.0, 3.0], atol=1e-14)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import RegressionError
-from repro.stats.linreg import fit_ols, forward_stepwise
+from repro.stats.linreg import f1_upper_quantile, fit_ols, forward_stepwise
 
 
 @pytest.fixture()
@@ -155,3 +155,32 @@ class TestStepwise:
         y = rng.normal(size=200)
         with pytest.raises(RegressionError):
             forward_stepwise(x, y, alpha_enter=1e-9)
+
+
+class TestF1UpperQuantile:
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10, 0.5])
+    def test_closed_forms_at_one_and_two_dof(self, alpha):
+        # F(1,1) is a squared Cauchy; F(1,2) a squared t with 2 dof.
+        cauchy = np.tan(np.pi * (1.0 - alpha) / 2.0) ** 2
+        two = 2.0 * (1.0 - alpha) ** 2 / (1.0 - (1.0 - alpha) ** 2)
+        assert f1_upper_quantile(alpha, 1) == pytest.approx(cauchy, rel=1e-12)
+        assert f1_upper_quantile(alpha, 2) == pytest.approx(two, rel=1e-12)
+
+    def test_decreases_toward_the_chi_square_limit(self):
+        values = [f1_upper_quantile(0.05, d) for d in (1, 2, 5, 30, 5000)]
+        assert values == sorted(values, reverse=True)
+        assert values[-1] == pytest.approx(3.841458820694124, rel=1e-3)
+
+    def test_agrees_with_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for alpha in (0.01, 0.05, 0.10):
+            for d in [*range(1, 301), 500, 1000, 5000]:
+                reference = float(stats.f.ppf(1.0 - alpha, 1, d))
+                assert f1_upper_quantile(alpha, d) == pytest.approx(
+                    reference, rel=1e-10, abs=0.0
+                ), (alpha, d)
+
+    @pytest.mark.parametrize("alpha, d", [(0.0, 5), (1.0, 5), (0.05, 0)])
+    def test_rejects_bad_arguments(self, alpha, d):
+        with pytest.raises(RegressionError):
+            f1_upper_quantile(alpha, d)
