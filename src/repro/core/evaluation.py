@@ -153,10 +153,10 @@ def evaluate_server(
 
     ``on_run`` is an optional observer called as ``on_run(state, run)``
     for every state that produced a run, in state order, before its row
-    is built.  The serve daemon uses it to feed each run's trace to the
-    streaming metering pipeline and publish live window statistics; the
-    hook cannot change what is evaluated, and exceptions it raises
-    propagate.
+    is built.  The serve daemon uses it to publish each run's window
+    statistics, computed by ``trimmed_stats``, as a
+    ``serve_stream_window`` event; the hook cannot change what is
+    evaluated, and exceptions it raises propagate.
 
     >>> from repro.hardware import XEON_E5462
     >>> result = evaluate_server(XEON_E5462)

@@ -34,8 +34,6 @@ from repro.core.metrics import r_squared
 from repro.engine.simulator import PMU_INTERVAL_S, Simulator
 from repro.errors import InsufficientMemoryError, RegressionError
 from repro.hardware.pmu import REGRESSION_FEATURES
-from repro.metering.analysis import DEFAULT_TRIM
-from repro.metering.stream import StreamingFeatures, StreamingTrim
 from repro.hardware.specs import ServerSpec
 from repro.stats.linreg import OlsModel, StepwiseResult, fit_ols, forward_stepwise
 from repro.stats.normalize import ZScoreNormalizer
@@ -143,16 +141,13 @@ def collect_hpcc_training(
     for workload, run in _iter_runs(simulator, workloads, backend):
         if isinstance(run, WorkloadError):
             raise run
-        # Stream the run's trace through the interval accumulator: the
-        # per-10 s pairing is bit-identical to slicing the materialised
-        # trace, and the inline path never holds more than one run.
-        acc = StreamingFeatures(interval=int(PMU_INTERVAL_S))
-        acc.push_pmu_many(run.pmu_samples)
-        acc.push_power_many(run.measured_watts)
-        features_k, power_k = acc.finalize()
-        for row, watts_k in zip(features_k, power_k):
-            rows.append(row)
-            power.append(float(watts_k))
+        interval = int(PMU_INTERVAL_S)
+        for k, sample in enumerate(run.pmu_samples):
+            window = run.measured_watts[k * interval : (k + 1) * interval]
+            if window.size == 0:
+                continue
+            rows.append(sample.as_vector())
+            power.append(float(window.mean()))
             labels.append(workload.label)
     if not rows:
         raise RegressionError("HPCC campaign produced no observations")
@@ -327,17 +322,9 @@ def collect_npb_features(
             continue
         if isinstance(run, Exception):
             raise run
-        # Reduce each run to its feature row and trimmed power through
-        # the streaming accumulators — bit-identical to
-        # ``pmu_matrix().mean(axis=0)`` / ``average_power_watts()`` on
-        # the materialised trace, which is therefore never retained.
-        acc = StreamingFeatures(interval=int(PMU_INTERVAL_S))
-        acc.push_pmu_many(run.pmu_samples)
-        trim_acc = StreamingTrim(DEFAULT_TRIM)
-        trim_acc.push_many(run.measured_watts)
         labels.append(workload.label)
-        rows.append(acc.pmu_mean())
-        watts.append(trim_acc.finalize().mean)
+        rows.append(run.pmu_matrix().mean(axis=0))
+        watts.append(run.average_power_watts())
     if not rows:
         raise RegressionError(f"NPB class {klass} produced no runs")
     return tuple(labels), np.vstack(rows), np.asarray(watts)

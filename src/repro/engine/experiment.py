@@ -12,6 +12,7 @@ bounds but does not eliminate — and returns per-program measurements.
 
 from __future__ import annotations
 
+import math
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +34,6 @@ from repro.metering.csvlog import (
     merge_power_csvs,
     read_power_csv,
     read_power_csv_tolerant,
-    roundtrip_sample,
     write_power_csv,
 )
 from repro.metering.stream import StreamingWindow, WindowSpec
@@ -118,14 +118,16 @@ class Campaign:
         so dropouts at the very start or end of the trace count
         against coverage instead of silently shrinking the grid.
     streaming:
-        ``True`` analyses the campaign online: every meter sample is
-        fed to a :class:`~repro.metering.stream.StreamingWindow`
-        pipeline *as it is generated* — through the same CSV
-        format/parse round trip the batch path takes — and the merged
-        CSV is produced by the streaming k-way merge, so the trace is
-        never materialised for analysis.  Measurements are
-        bit-identical to the batch path (the differential suite pins
-        this).  Incompatible with ``repair=True``: repair is a
+        ``True`` analyses the campaign online: each segment's CSV is
+        read back right after it is written and pushed into a
+        :class:`~repro.metering.stream.StreamingWindow`, so the windows
+        see the logged values by construction.  A row whose timestamp
+        is not after the last row fed is dropped, the merge's
+        keep-first rule.  The analysis then holds one segment at a time
+        plus the O(window) state, never the merged trace.  The merged
+        CSV is still written as the campaign artifact.  Measurements
+        are bit-identical to the batch path (the differential suite
+        pins this).  Incompatible with ``repair=True``: repair is a
         whole-trace pass by construction.
     """
 
@@ -170,8 +172,10 @@ class Campaign:
         out_dir = Path(tmp.name) if own_tmp else Path(csv_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         try:
-            if self.streaming:
-                return self._run_streaming(workloads, out_dir, own_tmp)
+            pipeline = (
+                StreamingWindow(trim=self.trim) if self.streaming else None
+            )
+            fed = -math.inf  # the last timestamp the pipeline was fed
             runs: list[RunResult] = []
             csv_paths: list[Path] = []
             t = 0.0
@@ -193,84 +197,57 @@ class Campaign:
                                 result.measured_watts,
                             )
                         )
+                        if pipeline is not None:
+                            pipeline.add_window(
+                                WindowSpec(
+                                    label=result.demand.program,
+                                    start_s=result.t_start_s,
+                                    end_s=result.t_end_s,
+                                )
+                            )
+                            times, watts = read_power_csv(csv_paths[-1])
+                            # The merge keeps the first row of a
+                            # timestamp: a later segment can log the
+                            # last one's final stamp again.
+                            peak = np.maximum.accumulate(
+                                np.concatenate(([fed], times))
+                            )
+                            keep = times > peak[:-1]
+                            fed = peak[-1]
+                            pipeline.push_many(
+                                times[keep] - self.clock_offset_s,
+                                watts[keep],
+                            )
                         t = result.t_end_s + self.gap_s
 
                 with obs.span("campaign.analysis"):
                     merged = merge_power_csvs(csv_paths, out_dir / "merged.csv")
                     quality: "TraceQuality | None" = None
-                    if self.repair:
-                        times, watts, _report = read_power_csv_tolerant(merged)
-                        # A merged campaign trace is multi-modal by
-                        # design (each program has its own power level),
-                        # so the global robust-z glitch rejection would
-                        # delete the highest-power program wholesale;
-                        # windowed analysis handles level shifts itself.
-                        #
-                        # The expected window lives on the repaired
-                        # trace's own timeline: server time if the
-                        # repair removes the meter-PC clock offset,
-                        # meter time if it leaves the timestamps alone
-                        # (jitter).  Probe first — the skew decision is
-                        # independent of the expected window — then
-                        # anchor accordingly, so leading/trailing
-                        # dropouts count against coverage.
-                        probe = repair_trace(
-                            times, watts, sample_hz=1.0, outlier_z=np.inf
-                        )
-                        shift = (
-                            0.0
-                            if "clock_skew_corrected" in probe.quality.flags
-                            else self.clock_offset_s
-                        )
-                        repaired = repair_trace(
-                            times,
-                            watts,
-                            sample_hz=1.0,
-                            outlier_z=np.inf,
-                            expected_start_s=runs[0].t_start_s + shift,
-                            expected_end_s=runs[-1].t_end_s + shift,
-                        )
-                        quality = repaired.quality
-                        if quality.quarantined:
-                            from repro.errors import TraceQualityError
-
-                            raise TraceQualityError(
-                                f"merged trace on "
-                                f"{self.simulator.server.name} is beyond "
-                                f"repair: {', '.join(quality.flags)} "
-                                f"(coverage {quality.coverage:.0%})"
-                            )
-                        times, watts = repaired.times_s, repaired.watts
+                    if pipeline is not None:
+                        stats = [w.stats for w in pipeline.finalize()]
                     else:
-                        times, watts = read_power_csv(merged)
-                    # Clock-sync correction (procedure step 3): map meter
-                    # time back to server time before window extraction —
-                    # unless the repair stage already measured and removed
-                    # the offset itself (correcting twice would shift every
-                    # window by a full offset).
-                    if (
-                        quality is None
-                        or "clock_skew_corrected" not in quality.flags
-                    ):
-                        times = times - self.clock_offset_s
-
-                    measurements = []
-                    for result in runs:
-                        window = extract_window(
-                            times, watts, result.t_start_s, result.t_end_s
-                        )
-                        stats = trimmed_stats(window, self.trim)
-                        measurements.append(
-                            ProgramMeasurement(
-                                label=result.demand.program,
-                                gflops=result.demand.gflops,
-                                average_watts=stats.mean,
-                                average_memory_mb=result.average_memory_mb(
-                                    self.trim
+                        times, watts, quality = self._read_merged(merged, runs)
+                        stats = [
+                            trimmed_stats(
+                                extract_window(
+                                    times, watts, r.t_start_s, r.t_end_s
                                 ),
-                                duration_s=result.duration_s,
+                                self.trim,
                             )
+                            for r in runs
+                        ]
+                    measurements = [
+                        ProgramMeasurement(
+                            label=result.demand.program,
+                            gflops=result.demand.gflops,
+                            average_watts=window.mean,
+                            average_memory_mb=result.average_memory_mb(
+                                self.trim
+                            ),
+                            duration_s=result.duration_s,
                         )
+                        for result, window in zip(runs, stats)
+                    ]
             return CampaignResult(
                 server=self.simulator.server.name,
                 measurements=tuple(measurements),
@@ -282,83 +259,54 @@ class Campaign:
             if tmp is not None:
                 tmp.cleanup()
 
-    def _run_streaming(
-        self,
-        workloads: "list[Workload]",
-        out_dir: Path,
-        own_tmp: bool,
-    ) -> CampaignResult:
-        """The online analysis path of :meth:`run`.
+    def _read_merged(
+        self, merged: Path, runs: "list[RunResult]"
+    ) -> "tuple[np.ndarray, np.ndarray, TraceQuality | None]":
+        """The merged trace on server time, repaired if asked."""
+        quality: "TraceQuality | None" = None
+        if self.repair:
+            times, watts, _report = read_power_csv_tolerant(merged)
+            # A merged campaign trace is multi-modal by design (each
+            # program has its own power level), so the global robust-z
+            # glitch rejection would delete the highest-power program
+            # wholesale; windowed analysis handles level shifts itself.
+            #
+            # The expected window lives on the repaired trace's own
+            # timeline: server time if the repair removes the meter-PC
+            # clock offset, meter time if it leaves the timestamps alone
+            # (jitter).  Probe first — the skew decision is independent
+            # of the expected window — then anchor accordingly, so
+            # leading/trailing dropouts count against coverage.
+            probe = repair_trace(times, watts, sample_hz=1.0, outlier_z=np.inf)
+            shift = (
+                0.0
+                if "clock_skew_corrected" in probe.quality.flags
+                else self.clock_offset_s
+            )
+            repaired = repair_trace(
+                times,
+                watts,
+                sample_hz=1.0,
+                outlier_z=np.inf,
+                expected_start_s=runs[0].t_start_s + shift,
+                expected_end_s=runs[-1].t_end_s + shift,
+            )
+            quality = repaired.quality
+            if quality.quarantined:
+                from repro.errors import TraceQualityError
 
-        Each run's samples go through :func:`roundtrip_sample` — the
-        same quantisation the batch path picks up by writing and
-        re-parsing the CSV — then straight into the window pipeline, so
-        the per-program statistics are bit-identical to the batch
-        analysis of the merged file.  The merged CSV itself is still
-        produced (byte-identical, via the streaming merge) as the
-        campaign artifact.
-        """
-        pipeline = StreamingWindow(trim=self.trim)
-        runs: list[RunResult] = []
-        csv_paths: list[Path] = []
-        t = 0.0
-        with obs.timed(
-            "campaign.run",
-            server=self.simulator.server.name,
-            programs=len(workloads),
-        ):
-            for i, workload in enumerate(workloads):
-                with obs.span("campaign.segment", index=i):
-                    result = self.simulator.run(workload, t_start_s=t)
-                    runs.append(result)
-                    pipeline.add_window(
-                        WindowSpec(
-                            label=result.demand.program,
-                            start_s=result.t_start_s,
-                            end_s=result.t_end_s,
-                        )
-                    )
-                    csv_paths.append(
-                        write_power_csv(
-                            out_dir / f"segment_{i:03d}.csv",
-                            result.times_s + self.clock_offset_s,
-                            result.measured_watts,
-                        )
-                    )
-                    # Feed the samples as generated: meter time through
-                    # the CSV round trip, then back to server time —
-                    # float-for-float what the batch path reads.
-                    seg_times: list[float] = []
-                    seg_watts: list[float] = []
-                    for ts, w in zip(result.times_s, result.measured_watts):
-                        tm, wm = roundtrip_sample(
-                            ts + self.clock_offset_s, w
-                        )
-                        seg_times.append(tm - self.clock_offset_s)
-                        seg_watts.append(wm)
-                    pipeline.push_many(seg_times, seg_watts)
-                    t = result.t_end_s + self.gap_s
-
-            with obs.span("campaign.analysis"):
-                merged = merge_power_csvs(csv_paths, out_dir / "merged.csv")
-                measurements = []
-                for result, window in zip(runs, pipeline.finalize()):
-                    stats = window.stats
-                    measurements.append(
-                        ProgramMeasurement(
-                            label=result.demand.program,
-                            gflops=result.demand.gflops,
-                            average_watts=stats.mean,
-                            average_memory_mb=result.average_memory_mb(
-                                self.trim
-                            ),
-                            duration_s=result.duration_s,
-                        )
-                    )
-        return CampaignResult(
-            server=self.simulator.server.name,
-            measurements=tuple(measurements),
-            runs=tuple(runs),
-            merged_csv=None if own_tmp else merged,
-            quality=None,
-        )
+                raise TraceQualityError(
+                    f"merged trace on {self.simulator.server.name} is "
+                    f"beyond repair: {', '.join(quality.flags)} "
+                    f"(coverage {quality.coverage:.0%})"
+                )
+            times, watts = repaired.times_s, repaired.watts
+        else:
+            times, watts = read_power_csv(merged)
+        # Clock-sync correction (procedure step 3): map meter time back
+        # to server time before window extraction — unless the repair
+        # stage already measured and removed the offset itself
+        # (correcting twice would shift every window by a full offset).
+        if quality is None or "clock_skew_corrected" not in quality.flags:
+            times = times - self.clock_offset_s
+        return times, watts, quality

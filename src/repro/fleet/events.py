@@ -20,9 +20,9 @@ Kinds: ``campaign_start``, ``campaign_resume``, ``cache_hit``,
 ``cluster_job``, ``cluster_finish`` (one machine-level simulation and
 its scheduled jobs share the fleet's JSONL schema and tooling), and
 the serve daemon's campaign lifecycle (``serve_submit``,
-``serve_start``, ``serve_shed``, ``serve_stream_window`` — one live
-per-window statistics record from the streaming metering pipeline per
-measured state — ``serve_finish``), and the storage
+``serve_start``, ``serve_shed``, ``serve_stream_window`` — one
+per-window statistics record per measured state, computed by
+``trimmed_stats`` as each run finishes — ``serve_finish``), and the storage
 doctor's health records (``storage_degraded`` when a write path hit
 ENOSPC/EIO and degraded instead of crashing, ``doctor_audit`` /
 ``doctor_repair`` / ``doctor_evict`` / ``doctor_gc`` for maintenance

@@ -12,9 +12,9 @@ samples, and average (Section V-C2).  This package reproduces that chain:
 * :mod:`repro.metering.sampler` — the 1 s memory-usage sampler.
 * :mod:`repro.metering.analysis` — window extraction, 10 % trimming,
   averages, and PPW assembly.
-* :mod:`repro.metering.stream` — the same analysis chain folded over a
-  live sample stream: O(window) memory, finalised results bit-identical
-  to the batch pipeline (see docs/metering.md).
+* :mod:`repro.metering.stream` — a chunked front end over the same
+  window and trim steps for a live sample stream: O(window) state,
+  results bit-identical to the batch chain (see docs/metering.md).
 """
 
 from repro.metering.meter import MeterSpec, Wt210Meter, WT210
@@ -33,7 +33,6 @@ from repro.metering.analysis import (
 )
 from repro.metering.stream import (
     StreamingFeatures,
-    StreamingStats,
     StreamingTrim,
     StreamingWindow,
     WindowResult,
@@ -54,7 +53,6 @@ __all__ = [
     "trimmed_mean",
     "trimmed_stats",
     "StreamingFeatures",
-    "StreamingStats",
     "StreamingTrim",
     "StreamingWindow",
     "WindowResult",

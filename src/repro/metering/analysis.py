@@ -29,8 +29,11 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "extract_window",
+    "window_mask",
     "trimmed_mean",
     "trimmed_stats",
+    "check_trim",
+    "reduce_trimmed",
     "TrimmedStats",
     "TraceQuality",
     "RepairedTrace",
@@ -94,9 +97,18 @@ def extract_window(
         raise ConfigurationError(
             f"window must be non-empty: [{start_s}, {end_s})"
         )
+    return values[window_mask(times_s, start_s, end_s, edge_tolerance_s)]
+
+
+def window_mask(
+    times_s: np.ndarray,
+    start_s: float,
+    end_s: float,
+    edge_tolerance_s: float = EDGE_TOLERANCE_S,
+) -> np.ndarray:
+    """The boolean mask :func:`extract_window` selects with."""
     tol = float(edge_tolerance_s)
-    mask = (times_s >= start_s - tol) & (times_s < end_s - tol)
-    return values[mask]
+    return (times_s >= start_s - tol) & (times_s < end_s - tol)
 
 
 def trimmed_mean(values: np.ndarray, trim: float = DEFAULT_TRIM) -> float:
@@ -160,18 +172,37 @@ def trimmed_stats(
     untrimmed statistics are exact, just untrimmed (``n_used ==
     n_total`` says so).
     """
+    check_trim(trim, ddof)
+    values = np.asarray(values, dtype=float).ravel()
+    cut = int(values.size * trim)
+    return reduce_trimmed(values[cut:], values.size, cut, ddof)
+
+
+def check_trim(trim: float, ddof: int = 0) -> None:
+    """Reject a trim fraction or ``ddof`` :func:`trimmed_stats` refuses."""
     if not 0.0 <= trim < 0.5:
         raise ConfigurationError(f"trim must be in [0, 0.5), got {trim}")
     if ddof < 0:
         raise ConfigurationError(f"ddof must be >= 0, got {ddof}")
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size == 0:
+
+
+def reduce_trimmed(
+    rest: np.ndarray, n_total: int, cut: int, ddof: int = 0
+) -> TrimmedStats:
+    """The reduction of :func:`trimmed_stats` once the head is dropped.
+
+    ``rest`` is the window's samples after its first ``cut``, where
+    ``cut = int(n_total * trim)``; the last ``cut`` of them are dropped
+    here.  :class:`repro.metering.stream.StreamingTrim` closes through
+    this too, so both give the same numbers from the same samples.
+    """
+    if n_total == 0:
         raise ConfigurationError("cannot summarise an empty window")
-    cut = int(values.size * trim)
-    kept = values[cut : values.size - cut] if cut else values
+    kept = rest[: rest.size - cut] if cut else rest
     fallback = False
     if kept.size == 0:
-        kept = values[values.size // 2 : values.size // 2 + 1]
+        middle = n_total // 2 - cut
+        kept = rest[middle : middle + 1]
         fallback = True
     if kept.size <= ddof:
         raise ConfigurationError(
@@ -183,7 +214,7 @@ def trimmed_stats(
     return TrimmedStats(
         mean=float(kept.mean()),
         std=float(kept.std(ddof=ddof)),
-        n_total=int(values.size),
+        n_total=int(n_total),
         n_used=int(kept.size),
         ddof=int(ddof),
         fallback=fallback,

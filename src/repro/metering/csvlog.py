@@ -29,7 +29,6 @@ __all__ = [
     "read_power_csv_tolerant",
     "iter_power_csv",
     "merge_power_csvs",
-    "roundtrip_sample",
     "CsvReadReport",
     "PowerCsvWriter",
     "HEADER",
@@ -38,27 +37,13 @@ __all__ = [
 
 HEADER: tuple[str, str] = ("time_s", "power_w")
 
-#: Format specs every row goes through.  Public because the streaming
-#: campaign path must reproduce the *written-then-parsed* values without
-#: a file in between (see :func:`roundtrip_sample`) — keeping the specs
-#: in one place keeps the two paths from drifting.
+#: Format specs every row goes through: the logged values are these
+#: roundings, and the analysis reads them back from the file.
 TIME_FORMAT = ".3f"
 POWER_FORMAT = ".2f"
 
 #: Rows per chunk :func:`iter_power_csv` yields.
 DEFAULT_CHUNK_SIZE = 4096
-
-
-def roundtrip_sample(t: float, w: float) -> tuple[float, float]:
-    """The value a sample has after one CSV write+read round trip.
-
-    The batch pipeline logs ``f"{t:.3f}", f"{w:.2f}"`` and parses the
-    strings back; the streaming campaign path feeds samples to the
-    pipeline *as generated*, so it applies the identical format/parse
-    here — that float quantisation is part of the measurement, and
-    skipping it would break bit-identity with the batch analysis.
-    """
-    return float(f"{t:{TIME_FORMAT}}"), float(f"{w:{POWER_FORMAT}}")
 
 
 class PowerCsvWriter:
@@ -121,29 +106,16 @@ def write_power_csv(
 
 
 def read_power_csv(path: "str | Path") -> tuple[np.ndarray, np.ndarray]:
-    """Read one CSV; returns (times_s, watts) arrays."""
-    path = Path(path)
-    times: list[float] = []
-    watts: list[float] = []
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != HEADER:
-                raise MeterError(
-                    f"{path}: not a power CSV (header {header!r})"
-                )
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 2:
-                    raise MeterError(f"{path}:{lineno}: expected 2 columns")
-                try:
-                    times.append(float(row[0]))
-                    watts.append(float(row[1]))
-                except ValueError as exc:
-                    raise MeterError(f"{path}:{lineno}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise MeterError(f"{path}: not a text CSV file ({exc})") from exc
-    return np.asarray(times), np.asarray(watts)
+    """Read one CSV; returns (times_s, watts) arrays.
+
+    The concatenation of the :func:`iter_power_csv` chunks; a
+    header-only file gives two empty arrays.
+    """
+    chunks = list(iter_power_csv(path))
+    if not chunks:
+        return np.empty(0), np.empty(0)
+    times, watts = zip(*chunks)
+    return np.concatenate(times), np.concatenate(watts)
 
 
 @dataclass(frozen=True)
@@ -207,10 +179,10 @@ def iter_power_csv(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Read one CSV in bounded chunks of ``(times_s, watts)`` arrays.
 
-    The streaming counterpart of :func:`read_power_csv`: identical
-    header/row validation and identical parsed values, but peak memory
-    is O(``chunk_size``) instead of O(file).  Concatenating every chunk
-    reproduces the batch reader's arrays exactly.
+    The one strict parser: a wrong header, a row without exactly two
+    columns or an unparseable value raises :class:`MeterError` naming
+    the file and line.  Peak memory is O(``chunk_size``);
+    :func:`read_power_csv` concatenates the chunks.
     """
     if chunk_size < 1:
         raise MeterError(f"chunk_size must be >= 1, got {chunk_size}")

@@ -1,39 +1,29 @@
-"""Online (streaming) metering: window routing, trim, stats, features.
+"""Online (streaming) metering: a chunked front end over the batch chain.
 
 The batch analysis chain (Section V-C2) — :func:`extract_window` →
 :func:`trimmed_stats` → regression-feature collection — needs the whole
-trace in memory.  This module is the same chain folded over a live
-1 Hz sample stream, the substrate ROADMAP item 5(a) names: samples are
-consumed incrementally, closed windows are summarised and released, and
-peak memory is O(window), not O(trace) (``bench_stream_metering.py``
-gates this with ``tracemalloc``).
+trace in memory.  This module feeds the same chain from a live 1 Hz
+sample stream, one numpy chunk at a time: closed windows are summarised
+and released, so the state it keeps is O(window), not O(trace)
+(``bench_stream_metering.py`` gates this with ``tracemalloc``).
 
-Bit-identity contract
----------------------
-Finalised results are **bit-identical** to the batch pipeline, which is
-only possible because the accumulators are *positional*, like the batch
-trim:
+There is no second implementation of a step here:
 
-* :class:`StreamingTrim` drops head samples as soon as they are
-  guaranteed trimmed (``position < int(n_seen * trim)`` can only grow),
-  retains the undecided middle+tail, and at close assembles exactly the
-  samples ``trimmed_stats`` would have kept — then applies the very same
-  numpy reduction.  numpy's pairwise summation means a running
-  Welford/Kahan mean can *never* bit-match ``ndarray.mean()``; retaining
-  the kept window (which is O(window)) and reducing it once is what
-  makes the contract exact rather than approximate.
-* :class:`StreamingWindow` uses the same half-open
-  ``[start - tol, end - tol)`` edge snapping as :func:`extract_window`,
-  so a sample lands in exactly the windows the batch mask would pick.
-* :class:`StreamingStats` (Kahan-compensated Welford) is the O(1)/sample
-  *live estimate* — exact under any chunking of the same sample order
-  (the property suite pins this), but only approximately equal to the
-  batch mean; use the finalised :class:`TrimmedStats` for reported
-  numbers.
+* :class:`StreamingWindow` routes each chunk with
+  :func:`~repro.metering.analysis.window_mask`, the mask of
+  :func:`extract_window`.  It splits a chunk only at a sample whose
+  running maximum closes a window, so a chunk gives the same results as
+  pushing its samples one at a time.
+* :class:`StreamingTrim` keeps the chunks the head trim can still keep
+  and closes through :func:`~repro.metering.analysis.reduce_trimmed`,
+  the reduction behind :func:`trimmed_stats`: same samples, same order,
+  same numpy reduction, so the result is bit-identical.
 
-The differential suite (``tests/metering/test_stream_differential.py``)
-proves the finalised results bit-identical on clean grids, repaired
-traces, and degenerate/fallback windows.
+``Campaign(streaming=True)`` feeds a :class:`StreamingWindow` one logged
+segment at a time, so its analysis holds one segment plus this
+O(window) state.  The differential suite
+(``tests/metering/test_stream_differential.py``) and the campaign pins
+hold the two entry points equal.
 """
 
 from __future__ import annotations
@@ -51,10 +41,12 @@ from repro.metering.analysis import (
     DEFAULT_TRIM,
     EDGE_TOLERANCE_S,
     TrimmedStats,
+    check_trim,
+    reduce_trimmed,
+    window_mask,
 )
 
 __all__ = [
-    "StreamingStats",
     "StreamingTrim",
     "StreamingWindow",
     "StreamingFeatures",
@@ -63,92 +55,25 @@ __all__ = [
 ]
 
 
-class StreamingStats:
-    """O(1)-per-sample running mean/std (Welford with Kahan compensation).
-
-    The live-estimate half of the pipeline: its ``mean``/``std`` agree
-    with numpy to ~1 ulp-scale error but are **not** bit-identical to
-    ``ndarray.mean()`` (numpy sums pairwise; no running accumulator can
-    reproduce that association order one sample at a time).  What *is*
-    exact: folding the same samples in the same order through any
-    chunking yields bit-identical accumulator state — ``push_many`` is
-    defined as per-sample ``push``, so chunk boundaries cannot matter.
-    """
-
-    __slots__ = ("n", "_mean", "_mean_c", "_m2", "_m2_c")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._mean_c = 0.0  # Kahan compensation for the mean
-        self._m2 = 0.0
-        self._m2_c = 0.0  # Kahan compensation for M2
-
-    def push(self, value: float) -> None:
-        """Fold one sample into the accumulator."""
-        value = float(value)
-        self.n += 1
-        delta = value - self._mean
-        # Kahan-compensated `mean += delta / n`.
-        term = delta / self.n - self._mean_c
-        total = self._mean + term
-        self._mean_c = (total - self._mean) - term
-        self._mean = total
-        # Kahan-compensated `m2 += delta * (value - mean_new)`.
-        term = delta * (value - self._mean) - self._m2_c
-        total = self._m2 + term
-        self._m2_c = (total - self._m2) - term
-        self._m2 = total
-
-    def push_many(self, values: np.ndarray) -> None:
-        """Fold a chunk; defined as per-sample pushes (chunk-invariant)."""
-        for value in np.asarray(values, dtype=float).ravel():
-            self.push(value)
-
-    @property
-    def mean(self) -> float:
-        """Running mean (0.0 before any sample)."""
-        return self._mean if self.n else 0.0
-
-    def std(self, ddof: int = 0) -> float:
-        """Running standard deviation (NaN when ``n <= ddof``)."""
-        if ddof < 0:
-            raise ConfigurationError(f"ddof must be >= 0, got {ddof}")
-        if self.n <= ddof:
-            return float("nan")
-        return math.sqrt(max(self._m2, 0.0) / (self.n - ddof))
-
-
 class StreamingTrim:
-    """Positional head/tail trim over a stream, exact at close.
+    """Positional head/tail trim over a stream of chunks, exact at close.
 
-    Mirrors :func:`trimmed_stats`: after ``n`` samples the batch path
-    keeps ``values[cut : n - cut]`` with ``cut = int(n * trim)``.  Since
-    ``int(n * trim)`` is non-decreasing in ``n``, a head sample at
-    position ``p`` is *guaranteed* trimmed once ``p < int(n_seen *
-    trim)`` — it is dropped from the deque the moment that holds, so the
-    buffer holds only the undecided middle plus the (ring-buffer-sized,
-    ``<= ceil(n*trim) + 1``) tail that the close will cut.
-
-    :meth:`finalize` assembles the kept samples into a float64 array and
-    applies the identical numpy reductions ``trimmed_stats`` uses —
-    same values, same order, same pairwise summation — so the returned
-    :class:`TrimmedStats` is bit-identical to the batch result,
-    degenerate/fallback windows included.  ``live`` carries the
-    :class:`StreamingStats` running estimate over *all* samples.
+    :func:`trimmed_stats` keeps ``values[cut : n - cut]`` with ``cut =
+    int(n * trim)``.  Since ``int(n * trim)`` never decreases as samples
+    arrive, the first ``int(n_seen * trim)`` samples are already
+    trimmed: they are released after every chunk, so the buffer holds
+    the undecided middle plus the tail the close will cut.
+    :meth:`finalize` concatenates the buffer and closes through
+    :func:`~repro.metering.analysis.reduce_trimmed`.
     """
 
-    __slots__ = ("trim", "ddof", "live", "_buffer", "_n", "_head_dropped")
+    __slots__ = ("trim", "ddof", "_chunks", "_n", "_head_dropped")
 
     def __init__(self, trim: float = DEFAULT_TRIM, ddof: int = 0) -> None:
-        if not 0.0 <= trim < 0.5:
-            raise ConfigurationError(f"trim must be in [0, 0.5), got {trim}")
-        if ddof < 0:
-            raise ConfigurationError(f"ddof must be >= 0, got {ddof}")
+        check_trim(trim, ddof)
         self.trim = float(trim)
         self.ddof = int(ddof)
-        self.live = StreamingStats()
-        self._buffer: deque[float] = deque()
+        self._chunks: deque[np.ndarray] = deque()
         self._n = 0
         self._head_dropped = 0
 
@@ -160,58 +85,31 @@ class StreamingTrim:
     @property
     def n_buffered(self) -> int:
         """Samples currently retained (the O(window) footprint)."""
-        return len(self._buffer)
-
-    def push(self, value: float) -> None:
-        """Accept one sample in stream order."""
-        value = float(value)
-        self._n += 1
-        self._buffer.append(value)
-        self.live.push(value)
-        # Head samples the final cut can no longer keep are released
-        # immediately: cut = int(n * trim) only grows with n.
-        guaranteed = int(self._n * self.trim)
-        while self._head_dropped < guaranteed:
-            self._buffer.popleft()
-            self._head_dropped += 1
+        return sum(chunk.size for chunk in self._chunks)
 
     def push_many(self, values: np.ndarray) -> None:
         """Accept a chunk of samples in stream order."""
-        for value in np.asarray(values, dtype=float).ravel():
-            self.push(value)
+        chunk = np.array(values, dtype=float).ravel()
+        if not chunk.size:
+            return
+        self._chunks.append(chunk)
+        self._n += chunk.size
+        drop = int(self._n * self.trim) - self._head_dropped
+        self._head_dropped += drop
+        while drop:
+            head = self._chunks[0]
+            if head.size <= drop:
+                self._chunks.popleft()
+                drop -= head.size
+            else:
+                # A copy, so the dropped samples' memory is released.
+                self._chunks[0] = head[drop:].copy()
+                drop = 0
 
     def finalize(self) -> TrimmedStats:
         """Close the window: the batch ``trimmed_stats``, bit for bit."""
-        n = self._n
-        if n == 0:
-            raise ConfigurationError("cannot summarise an empty window")
-        cut = int(n * self.trim)
-        # Invariant: push() already dropped exactly `cut` head samples.
-        assert self._head_dropped == cut
-        kept = list(self._buffer)
-        if cut:
-            kept = kept[: len(kept) - cut]
-        fallback = False
-        if not kept:  # defensive: unreachable for trim < 0.5, like batch
-            middle = n // 2 - cut
-            kept = [list(self._buffer)[middle]]
-            fallback = True
-        values = np.asarray(kept, dtype=float)
-        if values.size <= self.ddof:
-            raise ConfigurationError(
-                f"ddof={self.ddof} needs more than {self.ddof} surviving "
-                f"samples, got {values.size}"
-            )
-        if values.size == 1:
-            fallback = True
-        return TrimmedStats(
-            mean=float(values.mean()),
-            std=float(values.std(ddof=self.ddof)),
-            n_total=int(n),
-            n_used=int(values.size),
-            ddof=int(self.ddof),
-            fallback=fallback,
-        )
+        rest = np.concatenate(self._chunks) if self._chunks else np.empty(0)
+        return reduce_trimmed(rest, self._n, self._head_dropped, self.ddof)
 
 
 @dataclass(frozen=True)
@@ -240,11 +138,9 @@ class WindowResult:
 class StreamingWindow:
     """Routes a live sample stream into per-program trimmed windows.
 
-    Membership uses the identical edge snapping as
-    :func:`extract_window`: a sample at ``t`` belongs to window ``w``
-    iff ``t >= w.start_s - tol and t < w.end_s - tol`` — order- and
-    chunk-independent, so any interleaving of pushes yields the same
-    window contents as the batch mask over the full trace.
+    Membership is :func:`~repro.metering.analysis.window_mask`, the
+    mask of :func:`extract_window`: a sample at ``t`` belongs to window
+    ``w`` iff ``t >= w.start_s - tol and t < w.end_s - tol``.
 
     Windows must be registered in non-decreasing ``start_s`` order
     (:meth:`add_window`), matching how a campaign schedules runs.  A
@@ -262,8 +158,7 @@ class StreamingWindow:
         edge_tolerance_s: float = EDGE_TOLERANCE_S,
         on_finalize=None,
     ) -> None:
-        if not 0.0 <= trim < 0.5:
-            raise ConfigurationError(f"trim must be in [0, 0.5), got {trim}")
+        check_trim(trim)
         self.trim = float(trim)
         self.ddof = int(ddof)
         self.tol = float(edge_tolerance_s)
@@ -300,27 +195,18 @@ class StreamingWindow:
 
     def push(self, t: float, value: float) -> None:
         """Route one timestamped sample."""
-        t = float(t)
-        routed = False
-        windows = self._windows
-        i = self._first_open
-        while i < len(windows):
-            spec, acc = windows[i]
-            if t < spec.start_s - self.tol:
-                break  # starts are sorted; later windows begin later
-            if t < spec.end_s - self.tol:
-                acc.push(value)
-                routed = True
-            i += 1
-        if not routed and t < self._finalized_horizon - self.tol:
-            self.late_samples += 1
-            obs.inc("stream.late_samples")
-        if t > self._watermark:
-            self._watermark = t
-            self._close_passed()
+        self.push_many([t], [value])
 
     def push_many(self, times_s: np.ndarray, values: np.ndarray) -> None:
-        """Route a chunk of timestamped samples in stream order."""
+        """Route a chunk of timestamped samples in stream order.
+
+        The watermark is the running maximum of the timestamps pushed so
+        far, and a window closes only at a sample that raises it past
+        the window's ``end_s + tol``.  The chunk is split at those
+        samples and nowhere else; each piece is routed against the
+        windows open when it arrives, so the results, ``late_samples``
+        and ``on_finalize`` order equal one-sample pushes.
+        """
         times_s = np.asarray(times_s, dtype=float).ravel()
         values = np.asarray(values, dtype=float).ravel()
         if times_s.shape != values.shape:
@@ -328,10 +214,44 @@ class StreamingWindow:
                 f"times and values must align: {times_s.shape} vs "
                 f"{values.shape}"
             )
-        for t, value in zip(times_s, values):
-            self.push(t, value)
+        # peak[k] is the watermark after sample k (NaN never raises it).
+        peak = np.fmax.accumulate(np.concatenate(([self._watermark], times_s)))
+        rises = np.flatnonzero(times_s > peak[:-1])
+        peak = peak[1:]
+        lo = 0
+        while lo < times_s.size:
+            hi, closes = times_s.size, False
+            if self._first_open < len(self._windows):
+                spec = self._windows[self._first_open][0]
+                passed = np.searchsorted(peak, spec.end_s + self.tol)
+                i = np.searchsorted(rises, max(lo, passed))
+                if i < rises.size:
+                    hi, closes = int(rises[i]) + 1, True
+            self._route(times_s[lo:hi], values[lo:hi], peak[hi - 1])
+            self._watermark = float(peak[hi - 1])
+            if closes:
+                self._close_passed()
+            lo = hi
         obs.inc("stream.samples", float(times_s.size))
         obs.set_gauge("stream.depth", float(self.n_buffered))
+
+    def _route(
+        self, times_s: np.ndarray, values: np.ndarray, top: float
+    ) -> None:
+        """Feed a piece to every open window; ``top`` bounds its times."""
+        routed = np.zeros(times_s.size, dtype=bool)
+        for spec, acc in self._windows[self._first_open :]:
+            if spec.start_s - self.tol > top:
+                break  # starts are sorted; later windows begin later
+            mask = window_mask(times_s, spec.start_s, spec.end_s, self.tol)
+            acc.push_many(values[mask])
+            routed |= mask
+        late = np.count_nonzero(
+            ~routed & (times_s < self._finalized_horizon - self.tol)
+        )
+        if late:
+            self.late_samples += int(late)
+            obs.inc("stream.late_samples", float(late))
 
     def _close_passed(self) -> None:
         """Finalise every leading window the watermark has passed."""
@@ -343,22 +263,17 @@ class StreamingWindow:
 
     def _finalize_first(self) -> None:
         spec, acc = self._windows[self._first_open]
-        started = time.perf_counter()
-        try:
-            stats = acc.finalize()
-        except ConfigurationError:
-            # An empty window is the batch ConfigurationError; streaming
-            # reports it as a result-less window instead of aborting the
-            # stream mid-flight.
-            stats = None
         self._windows[self._first_open] = (spec, None)  # release buffer
         self._first_open += 1
         self._finalized_horizon = max(self._finalized_horizon, spec.end_s)
-        if stats is None:
+        started = time.perf_counter()
+        try:
+            stats = acc.finalize()
+        except ConfigurationError as exc:
             raise ConfigurationError(
                 f"window {spec.label!r} [{spec.start_s}, {spec.end_s}) "
-                "closed with no samples"
-            )
+                f"cannot close: {exc}"
+            ) from exc
         result = WindowResult(spec=spec, stats=stats)
         self._results.append(result)
         obs.observe(
@@ -400,6 +315,10 @@ class StreamingFeatures:
       :meth:`pmu_mean` stacks the pushed PMU vectors identically.
 
     PMU rows are tiny (six floats per 10 s); they are retained.
+
+    The collectors themselves reduce each run's arrays directly, so no
+    library code calls this class; ``perfbench/layers.py`` still wraps
+    its methods.
     """
 
     def __init__(self, interval: int = 10) -> None:

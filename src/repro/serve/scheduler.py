@@ -55,8 +55,7 @@ from repro.fleet.events import EventLog
 from repro.fleet.runner import FleetRunner, RetryPolicy
 from repro.fleet.spec import campaign_from_dict, make_job
 from repro.hardware.zoo import resolve_server
-from repro.metering.analysis import DEFAULT_TRIM
-from repro.metering.stream import StreamingWindow, WindowSpec
+from repro.metering.analysis import DEFAULT_TRIM, extract_window, trimmed_stats
 from repro.serve.protocol import Submission, submission_content_key
 from repro.serve.queues import QueuePolicy, TenantQueues
 from repro.serve.state import StateStore
@@ -528,27 +527,21 @@ class ServeScheduler:
     ) -> None:
         """Publish one state's live window statistics over ``/events``.
 
-        Each measured run's trace goes through the streaming metering
-        pipeline (:mod:`repro.metering.stream`) and the finalised
-        window — bit-identical to the batch trim the result document
-        reports — lands in the shared journal as a
+        Each measured run's window goes through the batch
+        :func:`~repro.metering.analysis.trimmed_stats` — the trim the
+        result document reports — and lands in the shared journal as a
         ``serve_stream_window`` event, so ``GET
         /v1/campaigns/<id>/events`` tails per-window statistics while
         the campaign is still running.  Observability only: a failure
         here is counted, never allowed to fail the campaign.
         """
         try:
-            pipeline = StreamingWindow(trim=DEFAULT_TRIM)
-            pipeline.add_window(
-                WindowSpec(
-                    label=state.label,
-                    start_s=run.t_start_s,
-                    end_s=run.t_end_s,
-                )
+            stats = trimmed_stats(
+                extract_window(
+                    run.times_s, run.measured_watts, run.t_start_s, run.t_end_s
+                ),
+                DEFAULT_TRIM,
             )
-            pipeline.push_many(run.times_s, run.measured_watts)
-            (window,) = pipeline.finalize()
-            stats = window.stats
             self.events.emit(
                 "serve_stream_window",
                 campaign=record.campaign_id,

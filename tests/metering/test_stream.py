@@ -7,51 +7,10 @@ from repro.errors import ConfigurationError
 from repro.metering.analysis import trimmed_stats
 from repro.metering.stream import (
     StreamingFeatures,
-    StreamingStats,
     StreamingTrim,
     StreamingWindow,
     WindowSpec,
 )
-
-
-class TestStreamingStats:
-    def test_matches_numpy_closely(self):
-        rng = np.random.default_rng(0)
-        values = 200.0 + 30.0 * rng.standard_normal(1000)
-        acc = StreamingStats()
-        acc.push_many(values)
-        assert acc.n == 1000
-        assert acc.mean == pytest.approx(float(values.mean()), rel=1e-12)
-        assert acc.std() == pytest.approx(float(values.std()), rel=1e-10)
-        assert acc.std(ddof=1) == pytest.approx(
-            float(values.std(ddof=1)), rel=1e-10
-        )
-
-    def test_empty_and_degenerate(self):
-        acc = StreamingStats()
-        assert acc.n == 0
-        assert acc.mean == 0.0
-        assert np.isnan(acc.std())
-        acc.push(5.0)
-        assert acc.mean == 5.0
-        assert acc.std() == 0.0
-        assert np.isnan(acc.std(ddof=1))
-
-    def test_chunking_is_exact(self):
-        rng = np.random.default_rng(1)
-        values = rng.uniform(0, 500, 257)
-        one = StreamingStats()
-        one.push_many(values)
-        split = StreamingStats()
-        split.push_many(values[:100])
-        split.push_many(values[100:101])
-        split.push_many(values[101:])
-        assert one.mean == split.mean
-        assert one.std() == split.std()
-
-    def test_bad_ddof(self):
-        with pytest.raises(ConfigurationError):
-            StreamingStats().std(ddof=-1)
 
 
 class TestStreamingTrim:
@@ -86,13 +45,6 @@ class TestStreamingTrim:
             StreamingTrim(trim=0.5)
         with pytest.raises(ConfigurationError):
             StreamingTrim(trim=-0.01)
-
-    def test_live_estimate_tracks_all_samples(self):
-        values = np.array([1.0, 2.0, 3.0, 4.0])
-        acc = StreamingTrim(trim=0.25)
-        acc.push_many(values)
-        assert acc.live.n == 4
-        assert acc.live.mean == pytest.approx(2.5)
 
 
 class TestStreamingWindow:
@@ -155,6 +107,30 @@ class TestStreamingWindow:
         pipeline.add_window(WindowSpec("a", 0.0, 5.0))
         with pytest.raises(ConfigurationError):
             pipeline.finalize()
+
+    def test_failed_close_names_the_window_and_its_cause(self):
+        pipeline = StreamingWindow()
+        pipeline.add_window(WindowSpec("empty", 0.0, 5.0))
+        pipeline.add_window(WindowSpec("next", 5.0, 9.0))
+        with pytest.raises(ConfigurationError, match="'empty'") as info:
+            pipeline.push(6.0, 1.0)  # the watermark closes "empty"
+        assert "empty window" in str(info.value)
+        assert isinstance(info.value.__cause__, ConfigurationError)
+        # The failed window was released; the stream carries on.
+        assert pipeline.n_open == 1
+        (result,) = pipeline.finalize()
+        assert result.spec.label == "next"
+
+    def test_ddof_failure_is_not_reported_as_empty(self):
+        pipeline = StreamingWindow(trim=0.0, ddof=1)
+        pipeline.add_window(WindowSpec("one", 0.0, 1.0))
+        pipeline.push(0.0, 5.0)
+        with pytest.raises(ConfigurationError, match="'one'") as info:
+            pipeline.finalize()
+        assert "ddof=1" in str(info.value)
+        assert "empty" not in str(info.value)
+        assert "ddof=1" in str(info.value.__cause__)
+        assert pipeline.n_open == 0
 
     def test_overlapping_windows_both_receive(self):
         pipeline = StreamingWindow(trim=0.0)

@@ -162,6 +162,26 @@ class TestCampaignDifferential:
             shallow=False,
         )
 
+    def test_segments_logging_the_same_timestamp(self, e5462, tmp_path):
+        # With gap_s=0 the first segment's last row and the second's
+        # first both log 10.400; the merge keeps the first, and so must
+        # the streamed analysis.
+        from repro.demand import ResourceDemand
+
+        workloads = [ResourceDemand.idle(10.0001), ResourceDemand.idle(12.0)]
+        batch = Campaign(Simulator(e5462, seed=1), gap_s=0).run(
+            workloads, csv_dir=tmp_path / "b"
+        )
+        streamed = Campaign(
+            Simulator(e5462, seed=1), gap_s=0, streaming=True
+        ).run(workloads, csv_dir=tmp_path / "s")
+        assert streamed.measurements == batch.measurements
+        assert filecmp.cmp(
+            tmp_path / "b" / "merged.csv",
+            tmp_path / "s" / "merged.csv",
+            shallow=False,
+        )
+
     def test_nonzero_clock_offset(self, e5462, tmp_path):
         workloads = [NpbWorkload("ep", "C", 4)]
         batch = Campaign(
@@ -209,8 +229,8 @@ class TestFeatureDifferential:
         assert trim_acc.finalize().mean == run.average_power_watts()
 
     def test_collect_npb_features_self_consistent(self, e5462):
-        # The collector now runs on the accumulators; its watts must
-        # still equal each run's materialised trimmed power.
+        # The collector's feature rows and watts equal each run's
+        # materialised PMU mean and trimmed power.
         simulator = Simulator(e5462, seed=1234)
         labels, features, watts = collect_npb_features(
             e5462, "B", simulator=simulator

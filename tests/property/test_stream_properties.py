@@ -1,19 +1,25 @@
 """Property-based tests (hypothesis) on the streaming metering pipeline.
 
 The invariants pinned here are the ones the bit-identity contract rests
-on: chunk boundaries can never change an accumulator's state, the
-positional trim reproduces ``trimmed_stats`` exactly, and window routing
-is insensitive to reordering within the edge tolerance.
+on: chunk boundaries can never change what a window sees or when it
+closes, the positional trim reproduces ``trimmed_stats`` exactly, and
+window routing is insensitive to reordering within the edge tolerance.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metering.analysis import extract_window, trimmed_stats
+from repro.errors import ConfigurationError
+from repro.metering.analysis import (
+    EDGE_TOLERANCE_S,
+    extract_window,
+    trimmed_stats,
+)
 from repro.metering.stream import (
-    StreamingStats,
     StreamingTrim,
     StreamingWindow,
     WindowSpec,
@@ -26,7 +32,7 @@ sample_lists = st.lists(watt_values, min_size=1, max_size=200)
 
 
 def _split(values, cut_points):
-    """Split a list at the given (possibly duplicated) cut points."""
+    """Split a sequence at the given (possibly duplicated) cut points."""
     bounds = sorted({min(c, len(values)) for c in cut_points})
     out = []
     prev = 0
@@ -41,32 +47,6 @@ class TestChunkInvariance:
     @given(
         sample_lists,
         st.lists(st.integers(min_value=0, max_value=200), max_size=8),
-    )
-    def test_stats_state_identical_under_any_split(self, values, cuts):
-        whole = StreamingStats()
-        whole.push_many(np.asarray(values))
-        split = StreamingStats()
-        for chunk in _split(values, cuts):
-            split.push_many(np.asarray(chunk))
-        # Bit-identical internal state, not just approximately equal.
-        assert whole.n == split.n
-        assert whole.mean == split.mean
-        assert whole._m2 == split._m2
-
-    @given(sample_lists)
-    def test_torn_chunks_of_one(self, values):
-        # The most adversarial tearing: every chunk holds one sample.
-        whole = StreamingStats()
-        whole.push_many(np.asarray(values))
-        torn = StreamingStats()
-        for v in values:
-            torn.push_many(np.asarray([v]))
-        assert whole.mean == torn.mean
-        assert whole._m2 == torn._m2
-
-    @given(
-        sample_lists,
-        st.lists(st.integers(min_value=0, max_value=200), max_size=8),
         st.sampled_from([0.0, 0.1, 0.2, 0.49]),
     )
     def test_trim_identical_under_any_split(self, values, cuts, trim):
@@ -76,6 +56,112 @@ class TestChunkInvariance:
         for chunk in _split(values, cuts):
             split.push_many(np.asarray(chunk))
         assert whole.finalize() == split.finalize()
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=4),
+                st.integers(min_value=1, max_value=6),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.data(),
+        st.sampled_from([0.0, 0.2]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_window_push_many_equals_one_sample_pushes(
+        self, windows, data, trim
+    ):
+        # Arbitrary window sets (non-decreasing starts, overlaps
+        # allowed); timestamps repeat, run backwards, and sit on, just
+        # inside and just outside the window edges.
+        specs, start = [], 0.0
+        for k, (step, length) in enumerate(windows):
+            start += step
+            specs.append(WindowSpec(f"w{k}", start, start + length))
+        edges = sorted(
+            {-1.0, *(s.start_s for s in specs), *(s.end_s for s in specs)}
+        )
+        tol = EDGE_TOLERANCE_S
+        samples = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(edges),
+                    st.sampled_from([0.0, 0.5, 1.5, tol, -tol, 5e-10, -2e-9]),
+                    watt_values,
+                ),
+                max_size=40,
+            )
+        )
+        cuts = data.draw(
+            st.lists(st.integers(min_value=0, max_value=40), max_size=6)
+        )
+        times = np.array([t + jitter for t, jitter, _ in samples])
+        values = np.array([w for _, _, w in samples], dtype=float)
+        one = _drive(specs, trim, [([t], [w]) for t, w in zip(times, values)])
+        chunked = _drive(
+            specs, trim, zip(_split(times, cuts), _split(values, cuts))
+        )
+        assert chunked == one
+        assert one == _reference(specs, trim, times, values)
+
+
+def _drive(specs, trim, chunks):
+    """Push ``chunks`` through a window: what closed, late count, error."""
+    closed = []
+    pipeline = StreamingWindow(trim=trim, on_finalize=closed.append)
+    for spec in specs:
+        pipeline.add_window(spec)
+    error = None
+    try:
+        for times, values in chunks:
+            pipeline.push_many(times, values)
+        pipeline.finalize()
+    except ConfigurationError as exc:
+        error = str(exc)
+    return [(r.spec, r.stats) for r in closed], pipeline.late_samples, error
+
+
+def _reference(specs, trim, times, values):
+    """The routing rule written out one sample at a time."""
+    tol = EDGE_TOLERANCE_S
+    buffers = [[] for _ in specs]
+    closed = []  # (spec, stats); len(closed) is the first open window
+    late, mark, horizon = 0, -math.inf, -math.inf
+    try:
+        for t, value in zip(times, values):
+            routed = False
+            for k in range(len(closed), len(specs)):
+                if specs[k].start_s - tol <= t < specs[k].end_s - tol:
+                    buffers[k].append(value)
+                    routed = True
+            if not routed and t < horizon - tol:
+                late += 1
+            if t > mark:
+                mark = t
+                while (
+                    len(closed) < len(specs)
+                    and mark >= specs[len(closed)].end_s + tol
+                ):
+                    horizon = max(horizon, specs[len(closed)].end_s)
+                    closed.append(_close(specs, buffers, len(closed), trim))
+        while len(closed) < len(specs):
+            closed.append(_close(specs, buffers, len(closed), trim))
+    except ConfigurationError as exc:
+        return closed, late, str(exc)
+    return closed, late, None
+
+
+def _close(specs, buffers, k, trim):
+    spec = specs[k]
+    try:
+        return spec, trimmed_stats(np.array(buffers[k]), trim)
+    except ConfigurationError as exc:
+        raise ConfigurationError(
+            f"window {spec.label!r} [{spec.start_s}, {spec.end_s}) "
+            f"cannot close: {exc}"
+        ) from exc
 
 
 class TestBatchEquivalence:

@@ -355,3 +355,38 @@ class TestDurability:
             ):
                 continue
             assert event["mean"] == by_label[event["label"]]["watts"]
+
+    def test_window_events_pinned(self, scheduler):
+        # Every field of every serve_stream_window event of one seeded
+        # campaign, in state order: (label, mean, std, n_used, n_total),
+        # floats as hex.  No window falls back, so the event omits the
+        # field (a None field is not written).
+        pinned = [
+            ("Idle", "0x1.0c4b4e81b4e82p+7", "0x1.fcba3d430206fp-2", 96, 120),
+            ("ep.C.1", "0x1.3799f9ccb4c01p+7", "0x1.2b97d7060765ap-1", 109, 135),
+            ("ep.C.2", "0x1.474a9b101767ep+7", "0x1.24d1745a6c7aap-1", 56, 68),
+            ("ep.C.4", "0x1.6243f8f01c3f9p+7", "0x1.2dad4c2abae51p-1", 29, 35),
+            ("HPL P1 Mh", "0x1.54e9e5dd87424p+7", "0x1.30444734d7fccp-1", 565, 705),
+            ("HPL P2 Mh", "0x1.7ff2f2c657f5cp+7", "0x1.989cad4bcea6bp-1", 295, 367),
+            ("HPL P4 Mh", "0x1.d2ef4e4228174p+7", "0x1.2a174a0c2cc8cp+0", 165, 205),
+            ("HPL P1 Mf", "0x1.54b4652f0c4f2p+7", "0x1.46021ff1c4d5bp-1", 1465, 1829),
+            ("HPL P2 Mf", "0x1.805843c8e79ffp+7", "0x1.902379c74d105p-1", 765, 955),
+            ("HPL P4 Mf", "0x1.d35c8d8af6e3bp+7", "0x1.271117873adc4p+0", 417, 521),
+        ]
+        outcome = scheduler.submit(_evaluate_submission(seed=7))
+        campaign_id = outcome.campaign.campaign_id
+        _wait_done(scheduler, campaign_id)
+        events = [
+            (
+                e["label"],
+                float(e["mean"]).hex(),
+                float(e["std"]).hex(),
+                e["n_used"],
+                e["n_total"],
+                e.get("fallback"),
+            )
+            for e in read_events(scheduler.state.events_path)
+            if e.get("campaign") == campaign_id
+            and e["kind"] == "serve_stream_window"
+        ]
+        assert events == [row + (None,) for row in pinned]
