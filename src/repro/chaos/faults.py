@@ -209,27 +209,20 @@ def flip_journal_record(
     sector leaves, not a torn write).  Returns the path and the 0-based
     line number damaged.
     """
-    import json
+    from repro.doctor.jsonl import read_lines
 
     path = Path(path)
-    lines = path.read_bytes().split(b"\n")
-    candidates: "list[int]" = []
-    for i, raw in enumerate(lines):
-        if not raw.strip():
-            continue
-        if kind is not None:
-            try:
-                record = json.loads(raw)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                continue
-            if not isinstance(record, dict) or record.get("kind") != kind:
-                continue
-        candidates.append(i)
+    candidates = [
+        line.lineno - 1
+        for line in read_lines(path)
+        if kind is None or (line.record or {}).get("kind") == kind
+    ]
     if not candidates:
         raise ConfigurationError(
             f"no record of kind {kind!r} to damage in {path}"
         )
     lineno = candidates[int(rng.integers(len(candidates)))]
+    lines = path.read_bytes().split(b"\n")
     raw = bytearray(lines[lineno])
     brace = raw.index(b"{")
     raw[brace] ^= 1

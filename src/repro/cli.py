@@ -1902,6 +1902,8 @@ def _doctor_stores(args: argparse.Namespace) -> list:
         stores.append(FleetCacheStore(root))
     for root in args.serve_state:
         root = Path(root)
+        if not root.is_dir():
+            raise ReproError(f"--serve-state {root}: not a directory")
         stores.append(FleetCacheStore(root / "cache"))
         stores.append(ServeResultsStore(root))
         stores.append(

@@ -7,6 +7,8 @@ result cache, serve journal + results, model registry, event journals
 * :mod:`repro.doctor.safewrite` — the ENOSPC/EIO-aware durable-write
   layer every store writes through (plus the chaos harness's
   deterministic disk-full injector);
+* :mod:`repro.doctor.jsonl` — the one JSONL journal primitive: every
+  journal and span trace is appended, read, tailed and compacted there;
 * :mod:`repro.doctor.stores` — one :class:`StoreAdapter` interface
   over all four stores (audit / repair / evict / gc);
 * :mod:`repro.doctor.engine` — policy: aggregated audits, capped
@@ -19,8 +21,8 @@ CLI: ``python -m repro doctor audit|repair|evict|gc`` and
 
 Attribute access is lazy (PEP 562): the stores the adapters wrap
 (fleet cache, event log, serve state, model registry) themselves
-import :mod:`repro.doctor.safewrite`, so this package must be
-importable without touching them.
+import :mod:`repro.doctor.safewrite` and :mod:`repro.doctor.jsonl`, so
+this package must be importable without touching them.
 """
 
 from typing import Any

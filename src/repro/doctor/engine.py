@@ -359,18 +359,15 @@ def submission_cache_keys(
 
 
 def serve_pins(state_root: "str | Path") -> ServePins:
-    """Pin set of one serve state directory (journal-derived)."""
-    from repro.errors import ReproError
-    from repro.serve.state import StateStore
+    """Pin set of one serve state directory (journal-derived).
 
-    root = Path(state_root)
-    if not (root / "journal.jsonl").exists():
-        return ServePins()
-    store = StateStore(root)
-    try:
-        pending, _next_id = store.replay()
-    finally:
-        store.close()
+    Replays the journal read-only: no lock is taken and nothing is
+    created, so a daemon booting meanwhile still gets its writer lock.
+    """
+    from repro.errors import ReproError
+    from repro.serve.state import replay_journal
+
+    pending, _next_id = replay_journal(Path(state_root) / "journal.jsonl")
     cache_keys: set[str] = set()
     campaign_ids: set[str] = set()
     for item in pending:

@@ -1,15 +1,17 @@
 """Disk-fault-aware durable writes, shared by every on-disk store.
 
 Every fsync/atomic-write path in the repo — the fleet's result cache,
-the serve daemon's submit journal and results store, the model
-registry, and the shared event journal the cluster layer traces into —
-funnels through these two helpers.  That gives them one contract:
+the serve daemon's results store, the model registry, journal
+compaction — funnels through :func:`write_atomic`, and every journal
+append through :class:`repro.doctor.jsonl.JsonlWriter`.  That gives
+them one contract:
 
 * a successful write is durable (temp file + ``fsync`` + ``os.replace``
-  for documents, ``write`` + ``flush`` [+ ``fsync``] for journals);
+  for documents, ``write`` [+ ``fsync``] for journal appends);
 * a write that fails for *capacity or media* reasons (``ENOSPC``,
   ``EDQUOT``, ``EIO``) raises :class:`~repro.errors.StorageDegradedError`
-  with any temp file cleaned up, so callers degrade deliberately —
+  with any temp file or partly appended line removed, so callers
+  degrade deliberately —
   shed load, skip the cache, leave the campaign journaled — instead of
   dying mid-write with half an entry on disk;
 * any other ``OSError`` (permissions, bad path) propagates untouched.
@@ -29,22 +31,16 @@ import errno
 import os
 import threading
 from pathlib import Path
-from typing import IO
 
 from repro.errors import StorageDegradedError
 
 __all__ = [
     "DEGRADE_ERRNOS",
     "ENV_FAULT_BUDGET",
-    "append_line",
     "clear_disk_fault",
-    "discard_and_reopen",
     "fault_active",
-    "has_live_writer",
     "inject_disk_full",
     "is_degrading",
-    "lock_writer",
-    "same_file",
     "write_atomic",
 ]
 
@@ -138,126 +134,4 @@ def write_atomic(tmp: Path, dest: Path, payload: bytes) -> None:
             pass
         if is_degrading(exc):
             raise StorageDegradedError(dest, exc) from exc
-        raise
-
-
-def lock_writer(fh: "IO[str] | IO[bytes]") -> bool:
-    """Mark ``fh``'s file as having a live writer (advisory ``flock``).
-
-    Every long-lived journal appender (the serve daemon's submit
-    journal, any :class:`~repro.fleet.events.EventLog`) takes this
-    exclusive, non-blocking lock on its append handle.  The lock is the
-    signal :func:`has_live_writer` checks before a journal compaction:
-    rewriting a file behind an open append handle orphans the inode and
-    silently swallows every subsequent fsynced append.
-
-    Best-effort: returns ``False`` when the lock is already held (a
-    second opener of the same file is a reader, not the writer) or the
-    platform has no ``flock``.  Released automatically when the handle
-    is closed or the process exits.
-    """
-    try:
-        import fcntl
-    except ImportError:  # pragma: no cover - non-POSIX platform
-        return False
-    try:
-        fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except OSError:
-        return False
-    return True
-
-
-def has_live_writer(path: "Path | str") -> bool:
-    """Whether some open handle holds the writer lock on ``path``.
-
-    Probes with a non-blocking *shared* lock: acquiring it proves no
-    writer holds the exclusive lock (the probe lock is dropped
-    immediately).  Advisory — a writer that never called
-    :func:`lock_writer` is invisible — but every journal writer in this
-    repo does.  ``False`` when the file is missing or ``flock`` is
-    unavailable.
-    """
-    try:
-        import fcntl
-    except ImportError:  # pragma: no cover - non-POSIX platform
-        return False
-    try:
-        fh = open(path, "rb")
-    except OSError:
-        return False
-    with fh:
-        try:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_SH | fcntl.LOCK_NB)
-        except OSError:
-            return True
-        fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-        return False
-
-
-def same_file(fh: "IO[str] | IO[bytes]", path: "Path | str") -> bool:
-    """Whether ``fh`` is still an open handle to what ``path`` names.
-
-    ``False`` when the file was replaced, rotated, or removed beneath
-    the handle — the appender must reopen before writing, or its bytes
-    land in an orphaned inode no reader will ever see.
-    """
-    try:
-        ours = os.fstat(fh.fileno())
-        theirs = os.stat(path)
-    except OSError:
-        return False
-    return (ours.st_ino, ours.st_dev) == (theirs.st_ino, theirs.st_dev)
-
-
-def discard_and_reopen(fh: "IO[str]", path: "Path | str") -> "IO[str]":
-    """Drop ``fh``'s unflushed buffer and return a fresh append handle.
-
-    After a failed flush/fsync, a ``TextIOWrapper`` can retain the
-    rejected bytes in its buffer; the next *successful* append would
-    flush them too, journaling a record whose caller was told it was
-    rejected.  Closing normally would retry that flush — so the handle's
-    descriptor is first redirected to ``os.devnull`` (race-free: no
-    descriptor number is ever closed while the wrapper still owns it),
-    letting the poisoned buffer drain harmlessly before the reopen.
-    """
-    try:
-        sink = os.open(os.devnull, os.O_WRONLY)
-        try:
-            os.dup2(sink, fh.fileno())
-        finally:
-            os.close(sink)
-    except (OSError, ValueError):
-        pass
-    try:
-        fh.close()
-    except (OSError, ValueError):
-        pass
-    return open(path, "a")
-
-
-def append_line(
-    fh: "IO[str]",
-    line: str,
-    fsync: bool = False,
-    target: "Path | str | None" = None,
-) -> None:
-    """Guarded journal append: write + flush (+ ``fsync``).
-
-    Raises :class:`StorageDegradedError` on capacity/media failure so
-    the journal owner decides the degradation (refuse the submission,
-    drop the event, leave the campaign pending) instead of crashing the
-    thread that happened to hold the pen.
-    """
-    try:
-        _consume_token()
-        fh.write(line)
-        fh.flush()
-        if fsync:
-            os.fsync(fh.fileno())
-    except OSError as exc:
-        if is_degrading(exc):
-            raise StorageDegradedError(
-                target if target is not None else getattr(fh, "name", "?"),
-                exc,
-            ) from exc
         raise

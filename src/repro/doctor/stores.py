@@ -9,6 +9,8 @@ The repo accumulates four long-lived on-disk stores:
 * the **model registry** (versioned, digest-checksummed artifacts);
 * the JSONL **journals** — the serve submit journal and the shared
   event log that fleet checkpoints and cluster per-node traces ride on.
+  Their adapter reads and compacts them through :mod:`repro.doctor.jsonl`,
+  the same module their writers append through.
 
 :class:`StoreAdapter` gives ``repro doctor`` one vocabulary over all of
 them: :meth:`~StoreAdapter.entries` (what is on disk), :meth:`~
@@ -32,7 +34,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.doctor import safewrite
+from repro.doctor.jsonl import (
+    Line,
+    compact,
+    has_live_writer,
+    read_lines,
+    read_records,
+)
 from repro.errors import JournalBusyError
 from repro.fleet.cache import CACHE_SALT, ResultCache, canonical_json
 from repro.fleet.events import EVENT_KINDS
@@ -321,24 +329,11 @@ class FleetCacheStore(StoreAdapter):
 
 def _journal_digests(journal_path: Path) -> dict[str, str]:
     """``campaign id -> result digest`` from the journal's done records."""
-    digests: dict[str, str] = {}
-    if not journal_path.exists():
-        return digests
-    for raw in journal_path.read_bytes().split(b"\n"):
-        line = raw.decode("utf-8", errors="replace").strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if (
-            isinstance(record, dict)
-            and record.get("kind") == "done"
-            and record.get("digest")
-        ):
-            digests[str(record.get("id"))] = str(record["digest"])
-    return digests
+    return {
+        str(record.get("id")): str(record["digest"])
+        for record in read_records(journal_path)
+        if record.get("kind") == "done" and record.get("digest")
+    }
 
 
 class ServeResultsStore(StoreAdapter):
@@ -616,38 +611,10 @@ class JournalStore(StoreAdapter):
         self.known_kinds = known_kinds
         self._drop: set[int] = set()
 
-    def _lines(self) -> list[bytes]:
+    def _records(self) -> list[Line]:
         if not self.path.exists():
             return []
-        raw = self.path.read_bytes()
-        if not raw:
-            return []
-        return raw.split(b"\n")
-
-    def _records(
-        self,
-    ) -> "list[tuple[int, bytes, dict[str, Any] | None, bool]]":
-        """``(lineno, raw, record-or-None, is_tail)`` per non-empty line."""
-        lines = self._lines()
-        # A trailing newline leaves one empty final element; its absence
-        # means the last line is a torn, in-progress append.
-        tail_torn = bool(lines) and lines[-1] != b""
-        out = []
-        for i, raw in enumerate(lines):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(
-                    raw.decode("utf-8", errors="replace")
-                )
-                if not isinstance(record, dict):
-                    record = None
-            except json.JSONDecodeError:
-                record = None
-            out.append(
-                (i + 1, raw, record, tail_torn and i == len(lines) - 1)
-            )
-        return out
+        return list(read_lines(self.path))
 
     def entries(self) -> list[StoreEntry]:
         file_mtime = 0.0
@@ -716,7 +683,7 @@ class JournalStore(StoreAdapter):
         subsequent fsynced append — submissions clients got 202s for —
         would silently vanish on restart.
         """
-        if safewrite.has_live_writer(self.path):
+        if has_live_writer(self.path):
             return "live_writer"
         return None
 
@@ -763,33 +730,13 @@ class JournalStore(StoreAdapter):
     def commit(self) -> None:
         """Atomically rewrite the journal without the dropped records.
 
-        Every parseable surviving record is kept byte-for-byte — a
-        valid final record merely missing its trailing newline (an
-        append torn exactly at the newline boundary) is preserved and
-        re-terminated, never discarded.  Raises
-        :class:`~repro.errors.JournalBusyError` instead of rewriting
-        when a live writer holds the journal (its open append handle
-        would keep writing into the orphaned pre-rewrite inode).
+        See :func:`~repro.doctor.jsonl.compact`: surviving records are
+        kept byte for byte, and :class:`~repro.errors.JournalBusyError`
+        is raised instead of rewriting while a live writer holds the
+        journal.
         """
-        if not self._drop or not self.path.exists():
-            self._drop.clear()
-            return
-        with self.path.open("rb") as guard:
-            # Held through the replace: blocks the has_live_writer
-            # probe and pins the veto for the duration of the rewrite.
-            if not safewrite.lock_writer(guard):
-                raise JournalBusyError(self.path)
-            kept = [
-                raw
-                for lineno, raw, record, _tail in self._records()
-                if lineno not in self._drop and record is not None
-            ]
-            payload = b"".join(raw + b"\n" for raw in kept)
-            safewrite.write_atomic(
-                self.path.with_suffix(f".tmp.{os.getpid()}"),
-                self.path,
-                payload,
-            )
+        if self._drop:
+            compact(self.path, self._drop)
         self._drop.clear()
 
     def gc(self, quarantine_ttl_s: "float | None" = None) -> list[Path]:

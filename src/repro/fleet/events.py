@@ -33,16 +33,21 @@ The log doubles as the campaign's *journal*: ``checkpoint`` records are
 fsynced to disk, so after a SIGKILL the set of durably completed jobs
 can be replayed (:func:`completed_job_ids`) and a campaign resumed from
 where it died (``fleet run --resume``).
+
+The log is written, read and tailed through :mod:`repro.doctor.jsonl`;
+this module adds the event schema and drops (and counts) events on a
+full disk.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from pathlib import Path
 from typing import Any
+
+from repro.doctor.jsonl import JsonlTail, JsonlWriter, read_records
+from repro.errors import StorageDegradedError
 
 __all__ = [
     "EVENT_KINDS",
@@ -87,21 +92,14 @@ class EventLog:
     """Append-only JSONL writer (one file may hold many campaigns).
 
     A single log may be shared by several runner threads (the serve
-    daemon multiplexes every tenant's campaigns onto one journal), so
-    appends are serialised by a lock — one ``emit`` always lands as one
+    daemon multiplexes every tenant's campaigns onto one journal); its
+    :class:`~repro.doctor.jsonl.JsonlWriter` lands each ``emit`` as one
     contiguous line.
     """
 
     def __init__(self, path: "str | Path"):
-        from repro.doctor import safewrite
-
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("a")
-        # Advisory writer lock (best-effort: a second log on the same
-        # file simply goes unlocked): tells `repro doctor` this journal
-        # has a live appender, so compaction must not rewrite it.
-        self._writer_locked = safewrite.lock_writer(self._fh)
+        self._writer = JsonlWriter(self.path)
         self._lock = threading.Lock()
         #: set when an append failed for capacity/media reasons; the
         #: log is telemetry, so a full disk drops events (counted in
@@ -116,47 +114,33 @@ class EventLog:
 
         ``_sync=True`` additionally fsyncs the file — used for
         ``checkpoint`` records, whose durability the resume path depends
-        on.  Ordinary events settle for a flush (a crash may lose the
+        on.  Ordinary events settle for the write (a crash may lose the
         tail of the log but never tears a line mid-record on replay,
         because :func:`read_events` skips partial lines).
 
         A capacity/media failure (ENOSPC, EIO) marks the log
-        ``degraded`` and drops the event rather than raising: every
+        ``degraded`` and drops the event rather than raising; the
+        writer has already truncated away any part of it that reached
+        the file, so the next event starts on a clean line.  Every
         caller that durably *depends* on a record (the serve journal,
         cache entries) writes it through its own store — the event log
         is the audit trail, and losing audit lines must never take the
         campaign down with them.
         """
-        from repro.doctor import safewrite
-        from repro.errors import StorageDegradedError
-
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
         record = {"ts": time.time(), "kind": kind}
         record.update({k: v for k, v in fields.items() if v is not None})
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with self._lock:
-            try:
-                safewrite.append_line(
-                    self._fh, line, fsync=_sync, target=self.path
-                )
-            except StorageDegradedError:
+        try:
+            self._writer.append(record, fsync=_sync)
+        except StorageDegradedError:
+            with self._lock:
                 self.degraded = True
                 self.dropped += 1
-                # A failed flush can leave the dropped record's bytes
-                # in the handle's buffer; a later successful emit would
-                # flush them too, tearing the next line.  Reopen with a
-                # clean buffer before accepting further appends.
-                self._fh = safewrite.discard_and_reopen(
-                    self._fh, self.path
-                )
-                self._writer_locked = safewrite.lock_writer(self._fh)
         return record
 
     def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
+        self._writer.close()
 
     def __enter__(self) -> "EventLog":
         return self
@@ -165,39 +149,14 @@ class EventLog:
         self.close()
 
 
-def _parse_line(raw: bytes) -> "dict[str, Any] | None":
-    """Decode one JSONL line to an event record, or ``None`` if torn.
-
-    Tolerates a line cut mid-write: a partial UTF-8 sequence must not
-    raise (``read_text`` with strict decoding did, when a reader raced
-    a writer into the middle of a multi-byte character), and anything
-    that is not a complete JSON object with a ``kind`` is skipped.
-    """
-    line = raw.decode("utf-8", errors="replace").strip()
-    if not line:
-        return None
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if isinstance(record, dict) and "kind" in record:
-        return record
-    return None
-
-
 def read_events(path: "str | Path") -> list[dict[str, Any]]:
     """Read every event in a JSONL file, skipping malformed lines.
 
     Safe against a concurrent writer: a torn final line — a partial
     write caught mid-read, possibly splitting a multi-byte character —
-    is skipped, never raised on.
+    is skipped, never raised on.  A missing file has no events.
     """
-    out: list[dict[str, Any]] = []
-    for raw in Path(path).read_bytes().split(b"\n"):
-        record = _parse_line(raw)
-        if record is not None:
-            out.append(record)
-    return out
+    return [record for record in read_records(path) if "kind" in record]
 
 
 class EventTail:
@@ -211,8 +170,8 @@ class EventTail:
     daemon's ``GET /v1/campaigns/<id>/events`` stream runs on.
 
     ``campaign`` optionally filters records to one campaign name.  A
-    truncated or rotated file (size below the read offset) resets the
-    tail to the new beginning.
+    truncated or replaced file (size below the read offset, or a new
+    inode at the path) resets the tail to the new beginning.
     """
 
     def __init__(
@@ -220,41 +179,14 @@ class EventTail:
     ):
         self.path = Path(path)
         self.campaign = campaign
-        self._offset = 0
-        self._buffer = b""
+        self._tail = JsonlTail(self.path)
 
     def poll(self) -> list[dict[str, Any]]:
         """Return every complete event appended since the last poll."""
-        try:
-            with self.path.open("rb") as fh:
-                fh.seek(0, os.SEEK_END)
-                size = fh.tell()
-                if size < self._offset:
-                    self._offset = 0
-                    self._buffer = b""
-                fh.seek(self._offset)
-                chunk = fh.read()
-        except FileNotFoundError:
-            return []
-        self._offset += len(chunk)
-        data = self._buffer + chunk
-        lines = data.split(b"\n")
-        # The final element has no newline yet: a torn line mid-write.
-        # Hold it back rather than parse-and-skip it, so the record is
-        # delivered intact on the poll after the writer finishes it.
-        self._buffer = lines.pop()
-        out: list[dict[str, Any]] = []
-        for raw in lines:
-            record = _parse_line(raw)
-            if record is None:
-                continue
-            if (
-                self.campaign is not None
-                and record.get("campaign") != self.campaign
-            ):
-                continue
-            out.append(record)
-        return out
+        records = [r for r in self._tail.poll() if "kind" in r]
+        if self.campaign is None:
+            return records
+        return [r for r in records if r.get("campaign") == self.campaign]
 
 
 def last_campaign_events(path: "str | Path") -> list[dict[str, Any]]:

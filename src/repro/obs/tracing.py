@@ -23,7 +23,6 @@ prints::
 from __future__ import annotations
 
 import functools
-import json
 import threading
 import time
 from contextlib import contextmanager
@@ -176,14 +175,14 @@ class Tracer:
 
     def export_jsonl(self, path: "str | Path") -> Path:
         """Write every completed span as one JSON object per line."""
+        from repro.doctor.jsonl import encode
+
         path = Path(path)
         if path.parent != Path(""):
             path.parent.mkdir(parents=True, exist_ok=True)
-        lines = [
-            json.dumps(record.to_dict(), sort_keys=True)
-            for record in self.records()
-        ]
-        path.write_text("\n".join(lines) + ("\n" if lines else ""))
+        path.write_bytes(
+            b"".join(encode(record.to_dict()) for record in self.records())
+        )
         return path
 
     def format_tree(self) -> str:
@@ -192,21 +191,20 @@ class Tracer:
 
 
 def load_jsonl(path: "str | Path") -> list[SpanRecord]:
-    """Read spans back from a :meth:`Tracer.export_jsonl` file."""
+    """Read spans back from a :meth:`Tracer.export_jsonl` file.
+
+    ``ConfigurationError`` when the file is unreadable, a line is not a
+    record (a torn final line included) or a record is not a span.
+    """
+    from repro.doctor.jsonl import read_records
+
     records = []
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read trace file {path}: {exc}") from exc
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    for data in read_records(path, strict=True):
         try:
-            records.append(SpanRecord.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            records.append(SpanRecord.from_dict(data))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(
-                f"not a span-JSONL line in {path}: {line[:80]!r}"
+                f"not a span-JSONL line in {path}: {data!r:.80}"
             ) from exc
     return records
 

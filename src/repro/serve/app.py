@@ -288,6 +288,7 @@ class ServeApp:
         self, campaign_id: str, writer: asyncio.StreamWriter
     ) -> None:
         """Stream the campaign's journal slice as x-ndjson until done."""
+        from repro.doctor.jsonl import encode
         from repro.fleet.events import EventTail
 
         if self.scheduler.status(campaign_id) is None:
@@ -300,9 +301,7 @@ class ServeApp:
         while True:
             records = tail.poll()
             for record in records:
-                writer.write(
-                    (json.dumps(record, sort_keys=True) + "\n").encode()
-                )
+                writer.write(encode(record))
             if records:
                 await writer.drain()
             status = self.scheduler.status(campaign_id)

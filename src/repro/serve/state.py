@@ -18,6 +18,10 @@ results live in the content-addressed cache and the fleet journal, the
 resumed execution is bit-identical to an uninterrupted one (the chaos
 suite SIGKILLs a live daemon to prove it).
 
+The journal is appended through :class:`~repro.doctor.jsonl.JsonlWriter`
+and replayed by :func:`replay_journal`, which only reads, so the doctor
+can replay a live daemon's journal.
+
 Records::
 
     {"kind": "submit", "id": "c-000001", "submission": {...},
@@ -31,16 +35,15 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from pathlib import Path
 from typing import Any
 
 from repro.doctor import safewrite
-from repro.errors import StorageDegradedError
+from repro.doctor.jsonl import JsonlWriter, read_records
 from repro.serve.protocol import Submission
 
-__all__ = ["PendingCampaign", "StateStore"]
+__all__ = ["PendingCampaign", "StateStore", "replay_journal"]
 
 
 class PendingCampaign:
@@ -69,57 +72,14 @@ class StateStore:
         self.journal_path = self.root / "journal.jsonl"
         self.events_path = self.root / "events.jsonl"
         self.cache_dir = self.root / "cache"
-        self._lock = threading.Lock()
-        self._fh = self.journal_path.open("a")
-        # Advisory writer lock: marks this journal as live so a
-        # concurrent `repro doctor evict/repair` refuses to compact it
-        # (a rewrite behind this handle would orphan the inode and
-        # silently swallow every subsequent fsynced append).
-        self._writer_locked = safewrite.lock_writer(self._fh)
+        # Every record is fsynced, and a failed append raises
+        # StorageDegradedError with no byte of it left behind: the
+        # journal is the daemon's source of truth, so the caller rejects
+        # the submission / skips the done record.  The writer's lock
+        # stops `repro doctor evict/repair` compacting a live journal.
+        self._journal = JsonlWriter(self.journal_path)
 
     # -- journal --------------------------------------------------------
-
-    def _append(self, record: "dict[str, Any]") -> None:
-        # Raises StorageDegradedError on ENOSPC/EIO: the journal is the
-        # daemon's source of truth, so a failed append must surface to
-        # the caller (which rejects the submission / skips the done
-        # record) rather than silently losing durability.
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with self._lock:
-            if not safewrite.same_file(self._fh, self.journal_path):
-                # Replaced/rotated beneath us (a doctor compaction the
-                # writer lock could not veto, e.g. a lockless platform):
-                # reopen so the append lands where replay will read it.
-                self._reopen_journal()
-            # fstat, not tell(): tell() on a text handle flushes, which
-            # would push a previous failure's poisoned buffer to disk
-            # before the offset is measured.
-            offset = os.fstat(self._fh.fileno()).st_size
-            try:
-                safewrite.append_line(
-                    self._fh, line, fsync=True, target=self.journal_path
-                )
-            except StorageDegradedError:
-                # The caller will reject/retry this record, so no trace
-                # of it may survive: a flush failure can leave the bytes
-                # in the handle's buffer (a later successful append
-                # would journal the rejected record), and an fsync
-                # failure can leave them in the file.  Discard the
-                # buffer via a fresh handle and truncate back to the
-                # pre-append offset.
-                self._reopen_journal()
-                try:
-                    os.ftruncate(self._fh.fileno(), offset)
-                except OSError:
-                    pass
-                raise
-
-    def _reopen_journal(self) -> None:
-        """Replace ``_fh`` with a clean append handle (lock held)."""
-        self._fh = safewrite.discard_and_reopen(
-            self._fh, self.journal_path
-        )
-        self._writer_locked = safewrite.lock_writer(self._fh)
 
     def journal_submit(
         self,
@@ -129,7 +89,7 @@ class StateStore:
         dedup_of: "str | None" = None,
     ) -> None:
         """Durably record an accepted submission (before the 202)."""
-        self._append(
+        self._journal.append(
             {
                 "kind": "submit",
                 "id": campaign_id,
@@ -137,7 +97,8 @@ class StateStore:
                 "content_key": content_key,
                 "dedup_of": dedup_of,
                 "ts": time.time(),
-            }
+            },
+            fsync=True,
         )
 
     def journal_done(
@@ -160,59 +121,18 @@ class StateStore:
             record["digest"] = digest
         if error:
             record["error"] = error
-        self._append(record)
+        self._journal.append(record, fsync=True)
 
     def journal_drain(self, pending: "list[str]") -> None:
         """Record a graceful drain and the ids left for the next boot."""
-        self._append(
-            {"kind": "drain", "pending": sorted(pending), "ts": time.time()}
+        self._journal.append(
+            {"kind": "drain", "pending": sorted(pending), "ts": time.time()},
+            fsync=True,
         )
 
     def replay(self) -> "tuple[list[PendingCampaign], int]":
-        """Load the journal: pending campaigns and the next id counter.
-
-        A campaign is *pending* when a ``submit`` record has no
-        matching ``done`` — exactly the work a graceful drain left
-        behind or a crash interrupted.  Torn trailing lines are
-        tolerated (same discipline as the fleet journal readers).
-        """
-        pending: "dict[str, PendingCampaign]" = {}
-        max_counter = 0
-        if not self.journal_path.exists():
-            return [], 1
-        for raw in self.journal_path.read_bytes().split(b"\n"):
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            kind = record.get("kind")
-            campaign_id = record.get("id", "")
-            if isinstance(campaign_id, str) and campaign_id.startswith("c-"):
-                try:
-                    max_counter = max(max_counter, int(campaign_id[2:]))
-                except ValueError:
-                    pass
-            if kind == "submit":
-                try:
-                    pending[campaign_id] = PendingCampaign(
-                        campaign_id=campaign_id,
-                        submission=Submission.from_dict(
-                            record["submission"]
-                        ),
-                        content_key=record.get("content_key", ""),
-                        dedup_of=record.get("dedup_of"),
-                    )
-                except (KeyError, TypeError):
-                    continue
-            elif kind == "done":
-                pending.pop(campaign_id, None)
-        ordered = sorted(pending.values(), key=lambda p: p.campaign_id)
-        return ordered, max_counter + 1
+        """Load the journal: see :func:`replay_journal`."""
+        return replay_journal(self.journal_path)
 
     # -- results --------------------------------------------------------
 
@@ -244,6 +164,41 @@ class StateStore:
         return json.loads(path.read_text())
 
     def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
+        self._journal.close()
+
+
+def replay_journal(
+    path: "str | Path",
+) -> "tuple[list[PendingCampaign], int]":
+    """Replay a submit journal: pending campaigns and the next id counter.
+
+    A campaign is *pending* when a ``submit`` record has no matching
+    ``done`` — exactly the work a graceful drain left behind or a crash
+    interrupted.  Torn and corrupt lines are skipped, and a missing
+    journal is empty.  Read-only: it takes no lock and creates nothing,
+    so the doctor can derive pins while a daemon owns the journal.
+    """
+    pending: "dict[str, PendingCampaign]" = {}
+    max_counter = 0
+    for record in read_records(path):
+        kind = record.get("kind")
+        campaign_id = record.get("id", "")
+        if isinstance(campaign_id, str) and campaign_id.startswith("c-"):
+            try:
+                max_counter = max(max_counter, int(campaign_id[2:]))
+            except ValueError:
+                pass
+        if kind == "submit":
+            try:
+                pending[campaign_id] = PendingCampaign(
+                    campaign_id=campaign_id,
+                    submission=Submission.from_dict(record["submission"]),
+                    content_key=record.get("content_key", ""),
+                    dedup_of=record.get("dedup_of"),
+                )
+            except (KeyError, TypeError):
+                continue
+        elif kind == "done":
+            pending.pop(campaign_id, None)
+    ordered = sorted(pending.values(), key=lambda p: p.campaign_id)
+    return ordered, max_counter + 1

@@ -225,6 +225,32 @@ class TestServePins:
     def test_missing_state_dir_pins_nothing(self, tmp_path):
         assert serve_pins(tmp_path / "nowhere").all == frozenset()
 
+    def test_pins_create_nothing_and_take_no_lock(self, tmp_path, monkeypatch):
+        # A daemon may boot while the doctor derives pins.  Had the
+        # replay opened the journal for append, its writer lock would
+        # leave the daemon unlocked for life, and its journal open to
+        # compaction once the doctor let go.
+        from repro.doctor.jsonl import has_live_writer
+
+        root = tmp_path / "state"
+        store = StateStore(root)
+        sub = self._submission()
+        store.journal_submit("c-000001", sub, submission_content_key(sub))
+        store.close()
+        (root / "results").rmdir()
+        before = sorted(root.iterdir())
+        locked = []
+        from_dict = Submission.from_dict
+
+        def spy(data):
+            locked.append(has_live_writer(root / "journal.jsonl"))
+            return from_dict(data)
+
+        monkeypatch.setattr(Submission, "from_dict", staticmethod(spy))
+        assert "c-000001" in serve_pins(root).campaign_ids
+        assert locked == [False]
+        assert sorted(root.iterdir()) == before
+
     def test_cache_keys_use_the_public_placement_default(self):
         # The pin computation must agree with the scheduler about the
         # placement policy without reaching into Simulator internals.

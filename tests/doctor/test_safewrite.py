@@ -83,17 +83,3 @@ class TestWriteAtomic:
                 missing / "t", missing / "doc.json", b"x"
             )
         assert not isinstance(info.value, StorageDegradedError)
-
-
-class TestAppendLine:
-    def test_failure_raises_with_target_in_message(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        with journal.open("a") as fh:
-            safewrite.append_line(fh, "one\n", fsync=True, target=journal)
-            safewrite.inject_disk_full(0)
-            with pytest.raises(StorageDegradedError) as info:
-                safewrite.append_line(
-                    fh, "two\n", fsync=True, target=journal
-                )
-        assert "journal.jsonl" in str(info.value)
-        assert journal.read_text() == "one\n"

@@ -5,9 +5,12 @@ including one cut in the middle of a multi-byte UTF-8 character.  The
 old ``read_text()``-based reader raised ``UnicodeDecodeError`` on that;
 a naive skip-the-torn-line tailer silently *loses* the event once its
 offset advances past it.  These are the regression tests for both.
+A tail cut at every byte of the final record is one cell of the reader
+matrix in ``tests/doctor/test_jsonl.py``.
 """
 
 import json
+import os
 
 from repro.fleet import EventLog, EventTail, read_events
 
@@ -134,3 +137,20 @@ class TestEventTailTornLine:
             events.emit("campaign_start", campaign="b", jobs=1)
         (event,) = tail.poll()
         assert event["campaign"] == "b"
+
+    def test_replaced_file_restarts_the_tail(self, tmp_path):
+        # A file replaced by a *longer* one (a rotation, a compaction)
+        # does not shrink, so only the inode shows it is new: seeking to
+        # the old offset would skip the new file's first records.
+        path = tmp_path / "events.jsonl"
+        with EventLog(path) as events:
+            events.emit("campaign_start", campaign="old", jobs=1)
+        tail = EventTail(path)
+        assert [e["campaign"] for e in tail.poll()] == ["old"]
+        fresh = tmp_path / "fresh.jsonl"
+        with EventLog(fresh) as events:
+            for name in ("new-1", "new-2", "new-3"):
+                events.emit("campaign_start", campaign=name, jobs=1)
+        os.replace(fresh, path)
+        polled = [e["campaign"] for e in tail.poll()]
+        assert polled == ["new-1", "new-2", "new-3"]

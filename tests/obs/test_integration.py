@@ -207,6 +207,23 @@ class TestCliObs:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("torn", [b"\xc3", b"x"])
+    def test_trace_tree_torn_last_line_is_usage_error(
+        self, capsys, tmp_path, torn
+    ):
+        # Torn inside a multi-byte character (a lone 0xC3) or at an
+        # ASCII byte: the same usage error, never a UnicodeDecodeError.
+        trace = tmp_path / "trace.jsonl"
+        with obs.capture() as tracer:
+            with obs.span("outer"):
+                pass
+        tracer.export_jsonl(trace)
+        with trace.open("ab") as fh:
+            fh.write(b'{"index": 1, "name": "' + torn)
+        code, _, err = run_cli(capsys, "trace", "tree", str(trace))
+        assert code == 2
+        assert "error:" in err
+
     def test_bench_list(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--list")
         assert code == 0
@@ -232,8 +249,11 @@ class TestCliObs:
         from repro.obs import bench
 
         path = tmp_path / "current.json"
+        # Best of two repeats on both sides: the first run in a process
+        # pays lazy set-up (measured 1.5-2x slower), which a single
+        # repeat would leave in the baseline and not in the second run.
         run_cli(
-            capsys, "bench", "--quick", "--repeat", "1",
+            capsys, "bench", "--quick", "--repeat", "2",
             "--scenario", "sim.single", "--json", str(path),
         )
         document = json.loads(path.read_text())
@@ -243,7 +263,7 @@ class TestCliObs:
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps(document))
         code, out, _ = run_cli(
-            capsys, "bench", "--quick", "--repeat", "1",
+            capsys, "bench", "--quick", "--repeat", "2",
             "--scenario", "sim.single", "--baseline", str(baseline),
         )
         assert code == 3

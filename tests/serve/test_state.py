@@ -1,12 +1,11 @@
-"""StateStore durability contracts: torn journals and full disks.
+"""StateStore durability contracts: replay, full disks, result bytes.
 
-The submit journal is the daemon's source of truth, so its failure
-modes get exhaustive treatment: ``replay()`` is run against a journal
-torn at *every* byte offset of its final record (a crash can stop an
-append anywhere), and the append/save paths are driven into the
-injected-ENOSPC fault to pin that they raise
-:class:`~repro.errors.StorageDegradedError` rather than dying with a
-half-written entry on disk.
+The append and replay paths are driven into the injected-ENOSPC fault
+to pin that they raise :class:`~repro.errors.StorageDegradedError`
+rather than dying with a half-written entry on disk.  A journal torn
+at every byte of its final record, and the other append faults (short
+write, failed fsync, stale bytes), are cells of the reader and writer
+matrices in ``tests/doctor/test_jsonl.py``.
 """
 
 import json
@@ -15,7 +14,7 @@ import pytest
 
 from repro.doctor import safewrite
 from repro.errors import StorageDegradedError
-from repro.serve.protocol import Submission, submission_content_key
+from repro.serve.protocol import Submission
 from repro.serve.state import StateStore
 
 
@@ -28,45 +27,7 @@ def _submission(seed: int = 7) -> Submission:
     )
 
 
-def _seeded_journal(tmp_path):
-    """A journal ending in a ``submit`` record: submit/done/submit."""
-    root = tmp_path / "state"
-    store = StateStore(root)
-    sub = _submission()
-    key = submission_content_key(sub)
-    store.journal_submit("c-000001", sub, key)
-    store.journal_done("c-000001", "done", digest="d" * 64)
-    store.journal_submit("c-000002", _submission(seed=8), key + "x")
-    store.close()
-    return root, store.journal_path.read_bytes()
-
-
 class TestReplayTornJournal:
-    def test_replay_torn_at_every_byte_of_the_final_record(self, tmp_path):
-        root, full = _seeded_journal(tmp_path)
-        journal = root / "journal.jsonl"
-        final_start = full.rindex(b"\n", 0, len(full) - 1) + 1
-        assert full.endswith(b"\n") and final_start < len(full) - 1
-
-        for cut in range(final_start, len(full) + 1):
-            journal.write_bytes(full[:cut])
-            store = StateStore(root)
-            try:
-                pending, counter = store.replay()  # must never raise
-            finally:
-                store.close()
-            ids = [p.campaign_id for p in pending]
-            if cut >= len(full) - 1:
-                # The record survived in full (with or without its
-                # trailing newline): the submission is pending again.
-                assert ids == ["c-000002"]
-                assert counter == 3
-            else:
-                # Any strictly-partial prefix is not valid JSON: the
-                # torn submit never happened, earlier records intact.
-                assert ids == []
-                assert counter == 2
-
     def test_replay_missing_journal_is_empty(self, tmp_path):
         store = StateStore(tmp_path / "state")
         store.journal_path.unlink()
@@ -97,61 +58,6 @@ class TestDiskFullDegrades:
             store.close()
         pending, _counter = StateStore(tmp_path / "state").replay()
         assert [p.campaign_id for p in pending] == ["c-000001"]
-
-    def test_rejected_append_leaves_no_ghost_in_the_buffer(
-        self, tmp_path
-    ):
-        # A failed flush can leave the rejected record's bytes in the
-        # TextIOWrapper buffer; the next successful append must not
-        # flush them too (the client was told 503 — a restart would
-        # otherwise resurrect and execute a ghost campaign).
-        store = StateStore(tmp_path / "state")
-        try:
-            store._fh.write('{"kind": "submit", "id": "c-ghost"}\n')
-            safewrite.inject_disk_full(0)
-            with pytest.raises(StorageDegradedError):
-                store.journal_submit("c-000001", _submission(), "k" * 64)
-            safewrite.clear_disk_fault()
-            store.journal_submit("c-000002", _submission(), "k" * 64)
-        finally:
-            safewrite.clear_disk_fault()
-            store.close()
-        raw = (tmp_path / "state" / "journal.jsonl").read_bytes()
-        assert b"c-ghost" not in raw and b"c-000001" not in raw
-        pending, _counter = StateStore(tmp_path / "state").replay()
-        assert [p.campaign_id for p in pending] == ["c-000002"]
-
-    def test_failed_fsync_truncates_the_undurable_record(
-        self, tmp_path, monkeypatch
-    ):
-        # When fsync (not flush) fails, the rejected bytes are already
-        # in the file: recovery must truncate back to the pre-append
-        # offset so the fsync-before-202 contract holds on restart.
-        import errno
-        import os
-
-        store = StateStore(tmp_path / "state")
-        try:
-            store.journal_submit("c-000001", _submission(), "k" * 64)
-            before = store.journal_path.read_bytes()
-            real_fsync = os.fsync
-
-            def failing_fsync(fd):
-                monkeypatch.setattr(os, "fsync", real_fsync)
-                raise OSError(errno.ENOSPC, "no space left on device")
-
-            monkeypatch.setattr(os, "fsync", failing_fsync)
-            with pytest.raises(StorageDegradedError):
-                store.journal_submit("c-000002", _submission(), "x" * 64)
-            assert store.journal_path.read_bytes() == before
-            store.journal_submit("c-000003", _submission(), "y" * 64)
-        finally:
-            store.close()
-        pending, _counter = StateStore(tmp_path / "state").replay()
-        assert [p.campaign_id for p in pending] == [
-            "c-000001",
-            "c-000003",
-        ]
 
     def test_save_result_raises_and_leaves_no_temp_file(self, tmp_path):
         store = StateStore(tmp_path / "state")
