@@ -328,9 +328,12 @@ class FleetCacheStore(StoreAdapter):
 
 
 def _journal_digests(journal_path: Path) -> dict[str, str]:
-    """``campaign id -> result digest`` from the journal's done records."""
+    """``campaign id -> result document digest`` from the journal's done
+    records: ``document_digest`` where the status digest differs."""
     return {
-        str(record.get("id")): str(record["digest"])
+        str(record.get("id")): str(
+            record.get("document_digest") or record["digest"]
+        )
         for record in read_records(journal_path)
         if record.get("kind") == "done" and record.get("digest")
     }

@@ -31,6 +31,7 @@ from repro.metering.analysis import (
     trimmed_stats,
 )
 from repro.metering.csvlog import (
+    keep_first,
     merge_power_csvs,
     read_power_csv,
     read_power_csv_tolerant,
@@ -206,14 +207,10 @@ class Campaign:
                                 )
                             )
                             times, watts = read_power_csv(csv_paths[-1])
-                            # The merge keeps the first row of a
-                            # timestamp: a later segment can log the
-                            # last one's final stamp again.
-                            peak = np.maximum.accumulate(
-                                np.concatenate(([fed], times))
-                            )
-                            keep = times > peak[:-1]
-                            fed = peak[-1]
+                            # A later segment can log the last one's
+                            # final stamp again; the merge keeps the
+                            # first.
+                            keep, fed = keep_first(times, fed)
                             pipeline.push_many(
                                 times[keep] - self.clock_offset_s,
                                 watts[keep],

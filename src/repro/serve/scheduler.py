@@ -613,9 +613,14 @@ class ServeScheduler:
         digest: str,
         partial: bool,
     ) -> None:
+        document_digest = _document_digest(document)
         self.state.save_result(record.campaign_id, document)
         self.state.journal_done(
-            record.campaign_id, "done", digest=digest, partial=partial
+            record.campaign_id,
+            "done",
+            digest=digest,
+            partial=partial,
+            document_digest=document_digest,
         )
         with self._cond:
             followers = list(record.followers)
@@ -635,7 +640,11 @@ class ServeScheduler:
             try:
                 self.state.save_result(follower_id, document)
                 self.state.journal_done(
-                    follower_id, "done", digest=digest, partial=partial
+                    follower_id,
+                    "done",
+                    digest=digest,
+                    partial=partial,
+                    document_digest=document_digest,
                 )
             except StorageDegradedError as exc:
                 # The primary is durable; this follower stays pending

@@ -28,6 +28,8 @@ Records::
      "content_key": "...", "dedup_of": null, "ts": ...}
     {"kind": "done", "id": "c-000001", "status": "done",
      "digest": "...", "partial": false, "ts": ...}
+    {"kind": "done", ..., "digest": "...",
+     "document_digest": "...", ...}    # fleet: see journal_done
     {"kind": "drain", "pending": ["c-000002"], "ts": ...}
 """
 
@@ -108,8 +110,16 @@ class StateStore:
         digest: "str | None" = None,
         partial: bool = False,
         error: "str | None" = None,
+        document_digest: "str | None" = None,
     ) -> None:
-        """Durably record a terminal state (after the result is saved)."""
+        """Durably record a terminal state (after the result is saved).
+
+        ``digest`` is the status digest clients see.  ``document_digest``
+        is the canonical-JSON SHA-256 of the saved result document, which
+        ``repro doctor audit`` checks; it is journaled only where it
+        differs from ``digest`` (a fleet campaign's status digest is its
+        results digest).
+        """
         record: dict[str, Any] = {
             "kind": "done",
             "id": campaign_id,
@@ -119,6 +129,8 @@ class StateStore:
         }
         if digest:
             record["digest"] = digest
+        if document_digest and document_digest != digest:
+            record["document_digest"] = document_digest
         if error:
             record["error"] = error
         self._journal.append(record, fsync=True)

@@ -13,19 +13,16 @@ import pytest
 
 from repro.cli import main
 from repro.fleet import read_events
+from repro.fleet.spec import campaign_to_dict, demo_campaign
 from repro.serve import ServeScheduler, StateStore, parse_submission
 
 
-@pytest.fixture(scope="module")
-def served_state(tmp_path_factory):
-    """A state directory holding one finished evaluate campaign."""
-    root = tmp_path_factory.mktemp("serve") / "state"
+def _serve_one(root, spec):
+    """Run one submission through a real scheduler, then drain it."""
     scheduler = ServeScheduler(StateStore(root), slots=1)
     scheduler.start()
     try:
-        submission = parse_submission(
-            {"kind": "evaluate", "server": "Xeon-E5462", "seed": 0}, "alice"
-        )
+        submission = parse_submission(spec, "alice")
         campaign_id = scheduler.submit(submission).campaign.campaign_id
         deadline = time.monotonic() + 120
         while scheduler.status(campaign_id)["status"] != "done":
@@ -34,6 +31,24 @@ def served_state(tmp_path_factory):
     finally:
         scheduler.drain(timeout_s=30)
     return root
+
+
+@pytest.fixture(scope="module")
+def served_state(tmp_path_factory):
+    """A state directory holding one finished evaluate campaign."""
+    root = tmp_path_factory.mktemp("serve") / "state"
+    return _serve_one(
+        root, {"kind": "evaluate", "server": "Xeon-E5462", "seed": 0}
+    )
+
+
+@pytest.fixture(scope="module")
+def served_fleet_state(tmp_path_factory):
+    """A state directory holding one finished fleet campaign."""
+    root = tmp_path_factory.mktemp("serve-fleet") / "state"
+    return _serve_one(
+        root, {"kind": "fleet", "campaign": campaign_to_dict(demo_campaign())}
+    )
 
 
 def _run(capsys, *argv):
@@ -49,6 +64,41 @@ def test_audit_of_a_served_state_dir_is_clean(served_state, tmp_path, capsys):
     assert "across 4 store(s), 0 corrupt" in out.out
     events = read_events(root / "events.jsonl")
     assert events[-1]["kind"] == "doctor_audit" and events[-1]["ok"]
+
+
+def test_audit_of_a_served_fleet_campaign_is_clean(
+    served_fleet_state, tmp_path, capsys
+):
+    # The done record's status digest is the fleet results digest, not
+    # the document's; the audit must check the document digest.
+    root = tmp_path / "state"
+    shutil.copytree(served_fleet_state, root)
+    code, out = _run(capsys, "doctor", "audit", "--serve-state", str(root))
+    assert code == 0, out.out
+    assert "digest_mismatch" not in out.out
+    code, out = _run(capsys, "doctor", "repair", "--serve-state", str(root))
+    assert code == 0, out.out
+    assert list(root.glob("results/*.json"))
+    assert not (root / "quarantine").exists()
+
+
+def test_flipped_byte_in_a_fleet_result_is_a_digest_mismatch(
+    served_fleet_state, tmp_path, capsys
+):
+    root = tmp_path / "state"
+    shutil.copytree(served_fleet_state, root)
+    (path,) = root.glob("results/*.json")
+    data = bytearray(path.read_bytes())
+    # One digit of the report: the JSON stays valid and the embedded
+    # status digest is untouched.
+    at = data.index(b'"report"')
+    at += next(i for i, b in enumerate(data[at:]) if chr(b).isdigit())
+    data[at] = ord("7") if data[at] != ord("7") else ord("3")
+    path.write_bytes(bytes(data))
+    json.loads(data)
+    code, out = _run(capsys, "doctor", "audit", "--serve-state", str(root))
+    assert code == 1
+    assert "digest_mismatch" in out.out
 
 
 def test_repair_compacts_a_corrupt_journal_record(

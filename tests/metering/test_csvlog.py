@@ -19,6 +19,7 @@ def test_roundtrip(tmp_path):
 def test_write_rejects_mismatched_shapes(tmp_path):
     with pytest.raises(MeterError):
         write_power_csv(tmp_path / "a.csv", np.arange(3.0), np.arange(4.0))
+    assert not (tmp_path / "a.csv").exists()  # rejected before opening
 
 
 def test_read_rejects_wrong_header(tmp_path):
@@ -237,3 +238,47 @@ class TestStreamingMerge:
             merge_power_csvs(paths + [missing], tmp_path / "out.csv")
         assert not (tmp_path / "out.csv").exists()
         assert list(tmp_path.glob("*.merge-tmp")) == []
+
+
+class TestNonFiniteTimestamps:
+    """A non-finite stamp has no merge order: the merge names it."""
+
+    @staticmethod
+    def _file(path, times):
+        watts = np.arange(1.0, len(times) + 1.0)
+        return write_power_csv(path, np.asarray(times, float), watts)
+
+    @pytest.mark.parametrize(
+        "stamps",
+        [[5.0, np.nan, 2.0], [0.0, np.nan, 2.0], [0.0, np.inf, 2.0]],
+        ids=["unsorted", "sorted", "inf"],
+    )
+    @pytest.mark.parametrize("chunk_size", [1, 4096])
+    def test_merge_raises_naming_file_and_line(
+        self, tmp_path, stamps, chunk_size
+    ):
+        bad = self._file(tmp_path / "u.csv", stamps)
+        other = self._file(tmp_path / "b.csv", [1.0, 3.0])
+        out = tmp_path / "merged.csv"
+        with pytest.raises(MeterError, match=r"u\.csv:3: non-finite"):
+            merge_power_csvs([bad, other], out, chunk_size=chunk_size)
+        assert not out.exists()
+        assert list(tmp_path.glob("*.merge-tmp")) == []
+
+    def test_materialised_fallback_also_raises(self, tmp_path):
+        # The first file is out of order, so the merge falls back to the
+        # sort-based path before it reads the non-finite stamp.
+        shuffled = self._file(tmp_path / "s.csv", [5.0, 2.0])
+        bad = self._file(tmp_path / "n.csv", [0.0, 1.0, -np.inf])
+        with pytest.raises(MeterError, match=r"n\.csv:4: non-finite"):
+            merge_power_csvs([shuffled, bad], tmp_path / "m.csv")
+
+
+def test_keep_first_keeps_the_first_row_of_a_timestamp():
+    from repro.metering.csvlog import keep_first
+
+    keep, last = keep_first(np.array([1.0, 2.0, 2.0, 1.5, 3.0]), 1.0)
+    assert keep.tolist() == [False, True, False, False, True]
+    assert last == 3.0
+    keep, last = keep_first(np.empty(0), 4.0)
+    assert keep.size == 0 and last == 4.0
