@@ -1929,14 +1929,20 @@ def _doctor_stores(args: argparse.Namespace) -> list:
 
 
 def _doctor_emit(args: argparse.Namespace, kind: str, **fields) -> None:
-    """Record a maintenance pass in each serve state's event journal."""
+    """Record a maintenance pass in each serve state's event journal,
+    unless a daemon holds its writer lock: a failed unlocked append would
+    truncate away whatever the daemon appended meanwhile."""
     from pathlib import Path
 
+    from repro.doctor.jsonl import has_live_writer
     from repro.fleet.events import EventLog
 
     for root in args.serve_state:
+        path = Path(root) / "events.jsonl"
+        if has_live_writer(path):
+            continue
         try:
-            with EventLog(Path(root) / "events.jsonl") as events:
+            with EventLog(path) as events:
                 events.emit(kind, **fields)
         except Exception:  # noqa: BLE001 - telemetry is best-effort
             pass

@@ -135,25 +135,26 @@ def collect_hpcc_training(
         for component in HPCC_COMPONENTS
         for nprocs in proc_counts
     ]
+    interval = int(PMU_INTERVAL_S)
     rows: list[np.ndarray] = []
-    power: list[float] = []
+    power: list[np.ndarray] = []
     labels: list[str] = []
     for workload, run in _iter_runs(simulator, workloads, backend):
         if isinstance(run, WorkloadError):
             raise run
-        interval = int(PMU_INTERVAL_S)
-        for k, sample in enumerate(run.pmu_samples):
-            window = run.measured_watts[k * interval : (k + 1) * interval]
-            if window.size == 0:
-                continue
-            rows.append(sample.as_vector())
-            power.append(float(window.mean()))
-            labels.append(workload.label)
+        features = run.pmu_matrix()
+        n = len(features)
+        # One mean per window; a run shorter than one window has one
+        # window, and its mean is over the partial window.
+        watts = run.measured_watts[: n * interval].reshape(n, -1)
+        power.append(watts.mean(axis=1))
+        rows.append(features)
+        labels.extend([workload.label] * n)
     if not rows:
         raise RegressionError("HPCC campaign produced no observations")
     return RegressionDataset(
         features=np.vstack(rows),
-        power=np.asarray(power),
+        power=np.concatenate(power),
         labels=tuple(labels),
     )
 

@@ -42,7 +42,12 @@ from repro.doctor.jsonl import (
     read_records,
 )
 from repro.errors import JournalBusyError
-from repro.fleet.cache import CACHE_SALT, ResultCache, canonical_json
+from repro.fleet.cache import (
+    CacheEntryError,
+    ResultCache,
+    canonical_json,
+    read_entry,
+)
 from repro.fleet.events import EVENT_KINDS
 
 __all__ = [
@@ -57,8 +62,6 @@ __all__ = [
     "verify_cache_entry",
     "verify_model_artifact",
 ]
-
-_CACHE_ENTRY_KIND = "fleet_cache_entry"
 
 #: Record kinds of the serve submit journal (its own schema, distinct
 #: from the fleet/cluster event log's ``EVENT_KINDS``).
@@ -206,37 +209,14 @@ def _sweep_quarantine(
 def verify_cache_entry(meta_path: Path) -> "str | None":
     """Integrity-check one cache entry without serving or mutating it.
 
-    Mirrors every check :meth:`repro.fleet.cache.ResultCache.get`
-    performs before trusting an entry — kind, salt, blob length, blob
-    SHA-256, array offsets — but returns the problem as a string
-    instead of quarantining, so an *audit* stays read-only.
+    Runs :func:`repro.fleet.cache.read_entry`, the decoder behind
+    :meth:`~repro.fleet.cache.ResultCache.get`, and returns the failed
+    check's name (``None`` for a sound entry) instead of quarantining.
     """
     try:
-        data = json.loads(meta_path.read_text())
-    except FileNotFoundError:
-        return "missing_metadata"
-    except (OSError, json.JSONDecodeError):
-        return "unreadable_metadata"
-    if not isinstance(data, dict):
-        return "malformed_metadata"
-    if data.get("kind") != _CACHE_ENTRY_KIND:
-        return "wrong_kind"
-    if data.get("salt") != CACHE_SALT:
-        return "stale_salt"
-    try:
-        blob = meta_path.with_suffix(".bin").read_bytes()
-    except OSError:
-        return "missing_blob"
-    try:
-        if len(blob) != int(data["blob_len"]):
-            return "blob_length_mismatch"
-        if hashlib.sha256(blob).hexdigest() != data["blob_sha256"]:
-            return "blob_checksum_mismatch"
-        for name, (offset, count) in data["result"]["arrays"].items():
-            if offset < 0 or offset + count * 8 > len(blob):
-                return f"array_out_of_bounds:{name}"
-    except (KeyError, TypeError, ValueError):
-        return "malformed_metadata"
+        read_entry(meta_path)
+    except CacheEntryError as exc:
+        return str(exc)
     return None
 
 
@@ -327,13 +307,10 @@ class FleetCacheStore(StoreAdapter):
 # -- serve results store ------------------------------------------------
 
 
-def _journal_digests(journal_path: Path) -> dict[str, str]:
-    """``campaign id -> result document digest`` from the journal's done
-    records: ``document_digest`` where the status digest differs."""
+def _journal_done(journal_path: Path) -> dict[str, dict[str, Any]]:
+    """``campaign id -> done record`` of the journal's digested ones."""
     return {
-        str(record.get("id")): str(
-            record.get("document_digest") or record["digest"]
-        )
+        str(record.get("id")): record
         for record in read_records(journal_path)
         if record.get("kind") == "done" and record.get("digest")
     }
@@ -386,7 +363,7 @@ class ServeResultsStore(StoreAdapter):
 
     def audit(self) -> list[Finding]:
         findings = []
-        digests = _journal_digests(self.journal_path)
+        done = _journal_done(self.journal_path)
         seen = set()
         for path in self._documents():
             campaign_id = path.stem
@@ -403,22 +380,31 @@ class ServeResultsStore(StoreAdapter):
                     )
                 )
                 continue
-            recorded = digests.get(campaign_id)
-            if recorded is None:
+            record = done.get(campaign_id)
+            if record is None:
                 continue
+            recorded = record.get("document_digest") or record["digest"]
             actual = hashlib.sha256(
                 canonical_json(document).encode()
             ).hexdigest()
-            if actual != recorded:
-                findings.append(
-                    Finding(
-                        self.name,
-                        campaign_id,
-                        str(path),
-                        "digest_mismatch",
-                    )
-                )
-        for campaign_id in sorted(set(digests) - seen):
+            if actual == recorded:
+                continue
+            # A fleet record journaled before ``document_digest`` existed
+            # holds only the results digest its document embeds: such a
+            # document cannot be verified, which does not make it corrupt.
+            if (
+                "document_digest" not in record
+                and isinstance(document, dict)
+                and document.get("kind") == "fleet-outcome"
+                and document.get("digest") == record["digest"]
+            ):
+                problem, severity = "unverifiable_result", "warn"
+            else:
+                problem, severity = "digest_mismatch", "corrupt"
+            findings.append(
+                Finding(self.name, campaign_id, str(path), problem, severity)
+            )
+        for campaign_id in sorted(set(done) - seen):
             findings.append(
                 Finding(
                     self.name,

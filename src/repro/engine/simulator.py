@@ -19,12 +19,12 @@ import numpy as np
 
 from repro import obs
 from repro.demand import ResourceDemand
-from repro.engine.trace import RunResult
+from repro.engine.trace import PMU_COLUMNS, RunResult
 from repro.errors import SimulationError
 from repro.hardware.calibration import calibrated_power_model
 from repro.hardware.cpu import CpuSubsystem
 from repro.hardware.memory import MemorySubsystem
-from repro.hardware.pmu import Pmu, PmuSample
+from repro.hardware.pmu import Pmu
 from repro.hardware.power import SystemPowerModel
 from repro.hardware.specs import ServerSpec
 from repro.metering.meter import MeterSpec, WT210, Wt210Meter
@@ -148,7 +148,7 @@ class Simulator:
         with obs.timed("sim.run", server=self.server.name, program=label):
             result = self._run(workload, t_start_s, power_factor)
         obs.inc("sim.run.samples", float(result.times_s.size))
-        obs.inc("sim.pmu.samples", float(len(result.pmu_samples)))
+        obs.inc("sim.pmu.samples", float(len(result.pmu)))
         return result
 
     def _run(
@@ -219,7 +219,8 @@ class Simulator:
         # window clock, so one synthesised reading fans out over every
         # window.  Activity counters ramp with the program's transients,
         # just like its power does; the allocated core count does not.
-        # The per-window noise is one (windows, 6) draw, filled row by row.
+        # The per-window noise is one (windows, 6) draw; its core-count
+        # column goes unused.
         interval = PMU_INTERVAL_S
         width = int(interval)
         n_pmu = max(n_seconds // width, 1)
@@ -231,12 +232,12 @@ class Simulator:
         else:
             scales = np.array([shape.mean()])
         noise = 1.0 + _PMU_NOISE * rng.standard_normal((n_pmu, 6))
-        rows = np.maximum((base * noise) * scales[:, None], 0.0).tolist()
-        nprocs = float(demand.nprocs)
-        pmu_samples = tuple(
-            PmuSample(t_start_s + k * interval, interval, nprocs, *row[1:])
-            for k, row in enumerate(rows)
-        )
+        counters = np.maximum((base * noise) * scales[:, None], 0.0)
+        pmu = np.empty((n_pmu, len(PMU_COLUMNS)))
+        pmu[:, 0] = t_start_s + np.arange(n_pmu) * interval
+        pmu[:, 1] = interval
+        pmu[:, 2] = float(demand.nprocs)
+        pmu[:, 3:] = counters[:, 1:]
 
         return RunResult(
             demand=demand,
@@ -245,6 +246,6 @@ class Simulator:
             true_watts=true_watts,
             measured_watts=measured,
             memory_mb=memory_mb,
-            pmu_samples=pmu_samples,
+            pmu=pmu,
             power_factor=factor,
         )

@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from repro.demand import ResourceDemand
 from repro.errors import SimulationError
-from repro.hardware.pmu import PmuSample
+from repro.hardware.pmu import REGRESSION_FEATURES, PmuSample
 from repro.metering.analysis import DEFAULT_TRIM, trimmed_mean
 from repro.units import energy_kj
 
-__all__ = ["RunResult"]
+__all__ = ["PMU_COLUMNS", "RunResult"]
+
+#: Column order of :attr:`RunResult.pmu`: the :class:`PmuSample` fields.
+PMU_COLUMNS: tuple[str, ...] = tuple(f.name for f in fields(PmuSample))
+
+#: The :data:`PMU_COLUMNS` of the regression features X1..X6, which
+#: close the row in :data:`REGRESSION_FEATURES` order.
+_FEATURES = slice(PMU_COLUMNS.index(REGRESSION_FEATURES[0]), None)
 
 
 @dataclass(frozen=True)
@@ -34,8 +41,10 @@ class RunResult:
         What the meter logged.
     memory_mb:
         What the 1 s memory sampler logged.
-    pmu_samples:
-        PMU readings at the 10 s collection interval.
+    pmu:
+        PMU readings at the 10 s collection interval, one row per
+        window and one column per :data:`PMU_COLUMNS` field; a run
+        without PMU readings holds a (0, 8) array.
     power_factor:
         Idiosyncrasy factor applied to dynamic power for this run.
     """
@@ -46,7 +55,9 @@ class RunResult:
     true_watts: np.ndarray
     measured_watts: np.ndarray
     memory_mb: np.ndarray
-    pmu_samples: tuple[PmuSample, ...] = field(default_factory=tuple)
+    pmu: np.ndarray = field(
+        default_factory=lambda: np.empty((0, len(PMU_COLUMNS)))
+    )
     power_factor: float = 1.0
 
     def __post_init__(self) -> None:
@@ -59,6 +70,10 @@ class RunResult:
                 )
         if n == 0:
             raise SimulationError("a run must contain at least one sample")
+        if self.pmu.ndim != 2 or self.pmu.shape[1] != len(PMU_COLUMNS):
+            raise SimulationError(
+                f"pmu must be (k, {len(PMU_COLUMNS)}), got {self.pmu.shape}"
+            )
 
     @property
     def duration_s(self) -> float:
@@ -86,8 +101,14 @@ class RunResult:
         """Energy for the whole run (Eq. 2)."""
         return energy_kj(self.average_power_watts(trim), self.duration_s)
 
+    @property
+    def pmu_samples(self) -> tuple[PmuSample, ...]:
+        """The :attr:`pmu` rows as :class:`PmuSample` objects, built on
+        each access."""
+        return tuple(PmuSample(*row) for row in self.pmu.tolist())
+
     def pmu_matrix(self) -> np.ndarray:
         """PMU feature matrix, one row per 10 s sample (X1..X6)."""
-        if not self.pmu_samples:
+        if not len(self.pmu):
             raise SimulationError("run recorded no PMU samples")
-        return np.vstack([s.as_vector() for s in self.pmu_samples])
+        return self.pmu[:, _FEATURES]

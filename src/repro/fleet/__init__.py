@@ -28,8 +28,6 @@ from repro.fleet.cache import (
     ResultCache,
     canonical_json,
     job_cache_key,
-    runresult_from_dict,
-    runresult_to_dict,
 )
 from repro.fleet.events import (
     EVENT_KINDS,
@@ -93,8 +91,6 @@ __all__ = [
     "last_campaign_events",
     "make_job",
     "read_events",
-    "runresult_from_dict",
-    "runresult_to_dict",
     "workload_from_dict",
     "workload_label",
     "workload_to_dict",

@@ -8,33 +8,32 @@ the cache key is the SHA-256 of the canonical JSON of exactly those
 inputs plus a code-version salt, and a hit can be substituted for a run
 bit-for-bit.
 
-Entries live under ``<root>/<key[:2]>/`` as two files: ``<key>.json``
-(salt, wall time, demand, array offsets, and the blob's SHA-256) and
-``<key>.bin`` (every sample array concatenated as raw little-endian
-float64).  Power traces can run to hundreds of thousands of 1 Hz samples
-(a full-memory HPL run), and reading raw float64 back through
-``np.frombuffer`` is an order of magnitude faster than parsing digits
-out of JSON — which is what makes a warm campaign run >= 10x faster
-than re-simulating.
+Entries live under ``<root>/<key[:2]>/`` as two files.  ``<key>.json``
+holds the salt, wall time, demand, array offsets, the blob's length and
+SHA-256, and ``meta_sha256``, the SHA-256 of the document itself.
+``<key>.bin`` holds every sample array as raw little-endian float64: the
+four traces, then the eight columns of ``RunResult.pmu``.  Power traces
+can run to hundreds of thousands of 1 Hz samples (a full-memory HPL
+run), and reading raw float64 back through ``np.frombuffer`` is an order
+of magnitude faster than parsing digits out of JSON — which is what
+makes a warm campaign run >= 10x faster than re-simulating.
 
 Durability contract: both files are written via temp file + ``fsync`` +
 ``os.replace`` (blob before metadata, so the metadata's existence
-implies a complete entry), and every read re-verifies the blob against
-the recorded checksum and length.  An entry that fails verification —
-a bit flip, a torn write from a pre-fsync crash, a foreign file — is
-*quarantined* (moved under ``<root>/quarantine/``) rather than served,
-so corruption costs one recomputation, never a wrong number.  The chaos
-harness (``python -m repro chaos``) injects exactly these damages to
-prove it.
-
-:func:`runresult_to_dict` / :func:`runresult_from_dict` remain the
-self-contained JSON converters (arrays as base64 float64) for callers
-that want a single portable document.
+implies a complete entry).  Every read goes through :func:`read_entry`,
+the one decoder, which checks the metadata against its own checksum,
+the blob against the recorded length and checksum, and every array
+against the blob before a single float is trusted.  An entry that fails
+— a bit flip, a torn write from a pre-fsync crash, a foreign file — is
+*quarantined* by :meth:`ResultCache.get` (moved under
+``<root>/quarantine/``) rather than served, so corruption costs one
+recomputation, never a wrong number.  ``repro doctor audit`` runs the
+same decoder and only reports the problem.  The chaos harness
+(``python -m repro chaos``) injects exactly these damages to prove it.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
@@ -49,24 +48,24 @@ import numpy as np
 from repro import obs
 from repro.demand import ResourceDemand
 from repro.doctor import safewrite
-from repro.errors import StorageDegradedError
-from repro.engine.trace import RunResult
+from repro.errors import ReproError, SimulationError, StorageDegradedError
+from repro.engine.trace import PMU_COLUMNS, RunResult
 from repro.fleet.spec import FleetJob
-from repro.hardware.pmu import PmuSample
 
 __all__ = [
     "CACHE_SALT",
+    "CacheEntryError",
     "canonical_json",
     "job_cache_key",
-    "runresult_to_dict",
-    "runresult_from_dict",
+    "read_entry",
     "ResultCache",
 ]
 
 #: Bump when a simulator or entry-format change invalidates previously
-#: cached results.  v3: checksummed entries (``blob_sha256``/``blob_len``
-#: are mandatory, so unverifiable pre-v3 entries can never be served).
-CACHE_SALT = "repro-fleet-cache-v3"
+#: cached results.  v3: checksummed blobs (``blob_sha256``/``blob_len``
+#: are mandatory).  v4: checksummed metadata (``meta_sha256``), so an
+#: entry whose metadata cannot be verified is never served.
+CACHE_SALT = "repro-fleet-cache-v4"
 
 _ENTRY_KIND = "fleet_cache_entry"
 
@@ -142,20 +141,8 @@ def _demand_to_dict(demand: ResourceDemand) -> dict[str, Any]:
     }
 
 
-_PMU_FIELDS = (
-    "time_s",
-    "interval_s",
-    "working_core_num",
-    "instruction_num",
-    "l2_cache_hit",
-    "l3_cache_hit",
-    "memory_read_times",
-    "memory_write_times",
-)
-
 #: Array layout of one result: the four trace arrays, then one column
-#: per PMU counter (every PmuSample field is a float, so float64 round
-#: trips are exact).
+#: per :data:`~repro.engine.trace.PMU_COLUMNS` field.
 _TRACE_ARRAYS = ("times_s", "true_watts", "measured_watts", "memory_mb")
 
 
@@ -165,11 +152,9 @@ def _result_arrays(result: RunResult) -> "dict[str, np.ndarray]":
         name: np.ascontiguousarray(getattr(result, name), dtype="<f8")
         for name in _TRACE_ARRAYS
     }
-    n = len(result.pmu_samples)
-    for f in _PMU_FIELDS:
-        arrays[f"pmu.{f}"] = np.fromiter(
-            (getattr(s, f) for s in result.pmu_samples), dtype="<f8", count=n
-        )
+    pmu = np.asarray(result.pmu, dtype="<f8")
+    for j, name in enumerate(PMU_COLUMNS):
+        arrays[f"pmu.{name}"] = pmu[:, j]
     return arrays
 
 
@@ -177,15 +162,6 @@ def _result_from_arrays(
     meta: dict[str, Any], arrays: "dict[str, np.ndarray]"
 ) -> RunResult:
     """Rebuild a result from its metadata and sample arrays."""
-    rows = zip(*(arrays[f"pmu.{f}"].tolist() for f in _PMU_FIELDS))
-    samples = []
-    for row in rows:
-        # Bypass the frozen-dataclass __init__ (eight object.__setattr__
-        # calls per sample adds up over 10^5 samples); the instances
-        # compare equal to normally built ones.
-        sample = object.__new__(PmuSample)
-        sample.__dict__.update(zip(_PMU_FIELDS, row))
-        samples.append(sample)
     return RunResult(
         demand=ResourceDemand(**meta["demand"]),
         t_start_s=float(meta["t_start_s"]),
@@ -193,7 +169,7 @@ def _result_from_arrays(
         true_watts=arrays["true_watts"].astype(float, copy=True),
         measured_watts=arrays["measured_watts"].astype(float, copy=True),
         memory_mb=arrays["memory_mb"].astype(float, copy=True),
-        pmu_samples=tuple(samples),
+        pmu=np.column_stack([arrays[f"pmu.{name}"] for name in PMU_COLUMNS]),
         power_factor=float(meta["power_factor"]),
     )
 
@@ -206,24 +182,21 @@ def _result_meta(result: RunResult) -> dict[str, Any]:
     }
 
 
-def runresult_to_dict(result: RunResult) -> dict[str, Any]:
-    """Serialise a :class:`~repro.engine.trace.RunResult` losslessly to a
-    self-contained JSON document (arrays as base64 float64)."""
-    document = _result_meta(result)
-    document["arrays"] = {
-        name: base64.b64encode(values.tobytes()).decode("ascii")
-        for name, values in _result_arrays(result).items()
-    }
-    return document
+def _entry_bytes(document: dict[str, Any]) -> bytes:
+    """The canonical bytes of an entry document (sorted keys, fixed
+    separators): every writer of one result writes the same file."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
 
 
-def runresult_from_dict(data: dict[str, Any]) -> RunResult:
-    """Inverse of :func:`runresult_to_dict`."""
-    arrays = {
-        name: np.frombuffer(base64.b64decode(blob), dtype="<f8")
-        for name, blob in data["arrays"].items()
-    }
-    return _result_from_arrays(data, arrays)
+def _meta_sha256(document: dict[str, Any]) -> str:
+    """SHA-256 of an entry document's bytes without ``meta_sha256``."""
+    body = {k: v for k, v in document.items() if k != "meta_sha256"}
+    return hashlib.sha256(_entry_bytes(body)).hexdigest()
+
+
+class CacheEntryError(ReproError):
+    """A cache entry failed :func:`read_entry`; the message names the
+    failed check."""
 
 
 @dataclass
@@ -247,6 +220,52 @@ class CacheHit:
 
     result: RunResult
     wall_s: float  # original execution wall time, for speedup accounting
+
+
+def read_entry(path: Path) -> CacheHit:
+    """Read, verify and decode the entry whose metadata file is ``path``.
+
+    The one decoder behind :meth:`ResultCache.get` (which quarantines
+    what it rejects) and ``repro doctor audit`` (which only reports it);
+    it changes no file.  Raises :class:`CacheEntryError` naming the
+    first check the entry fails, e.g. ``metadata_checksum_mismatch``.
+    """
+    try:
+        data = json.loads(path.read_bytes())
+    except FileNotFoundError:
+        raise CacheEntryError("missing_metadata") from None
+    except (OSError, ValueError):
+        raise CacheEntryError("unreadable_metadata") from None
+    if not isinstance(data, dict):
+        raise CacheEntryError("malformed_metadata")
+    if data.get("kind") != _ENTRY_KIND:
+        raise CacheEntryError("wrong_kind")
+    if data.get("salt") != CACHE_SALT:
+        raise CacheEntryError("stale_salt")
+    if data.get("meta_sha256") != _meta_sha256(data):
+        raise CacheEntryError("metadata_checksum_mismatch")
+    try:
+        blob = path.with_suffix(".bin").read_bytes()
+    except OSError:
+        raise CacheEntryError("missing_blob") from None
+    try:
+        if len(blob) != data["blob_len"]:
+            raise CacheEntryError("blob_length_mismatch")
+        if hashlib.sha256(blob).hexdigest() != data["blob_sha256"]:
+            raise CacheEntryError("blob_checksum_mismatch")
+        arrays: dict[str, np.ndarray] = {}
+        for name, (offset, count) in data["result"]["arrays"].items():
+            if offset < 0 or offset + count * 8 > len(blob):
+                raise CacheEntryError(f"array_out_of_bounds:{name}")
+            arrays[name] = np.frombuffer(
+                blob, dtype="<f8", count=count, offset=offset
+            )
+        return CacheHit(
+            result=_result_from_arrays(data["result"], arrays),
+            wall_s=float(data.get("wall_s", 0.0)),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError, SimulationError):
+        raise CacheEntryError("malformed_metadata") from None
 
 
 @dataclass
@@ -273,45 +292,19 @@ class ResultCache:
     def get(self, key: str) -> "CacheHit | None":
         """Look up a key; unverifiable entries are quarantined misses.
 
-        Every hit is integrity-checked: document kind and salt, blob
-        length, blob SHA-256, and array offsets must all agree before a
-        single float is trusted.  Any mismatch moves the entry to the
-        quarantine directory and returns a miss, so the caller recomputes
-        instead of consuming corruption.
+        Every hit passes :func:`read_entry`.  An entry that fails any of
+        its checks moves to the quarantine directory and the lookup
+        returns a miss, so the caller recomputes instead of consuming
+        corruption; only a missing entry is a plain miss.
         """
         path = self._path(key)
         try:
-            data = json.loads(path.read_text())
-        except FileNotFoundError:
-            self._miss()
-            return None
-        except (OSError, json.JSONDecodeError):
-            self._corrupt(path)
-            return None
-        if data.get("kind") != _ENTRY_KIND or data.get("salt") != CACHE_SALT:
-            self._corrupt(path)
-            return None
-        try:
-            blob = path.with_suffix(".bin").read_bytes()
-            if len(blob) != int(data["blob_len"]):
-                raise ValueError(
-                    f"blob is {len(blob)} bytes, expected {data['blob_len']}"
-                )
-            if hashlib.sha256(blob).hexdigest() != data["blob_sha256"]:
-                raise ValueError("blob checksum mismatch")
-            arrays: dict[str, np.ndarray] = {}
-            for name, (offset, count) in data["result"]["arrays"].items():
-                if offset < 0 or offset + count * 8 > len(blob):
-                    raise ValueError(f"array {name!r} exceeds the blob")
-                arrays[name] = np.frombuffer(
-                    blob, dtype="<f8", count=count, offset=offset
-                )
-            hit = CacheHit(
-                result=_result_from_arrays(data["result"], arrays),
-                wall_s=float(data.get("wall_s", 0.0)),
-            )
-        except (OSError, KeyError, TypeError, ValueError):
-            self._corrupt(path)
+            hit = read_entry(path)
+        except CacheEntryError as exc:
+            if str(exc) == "missing_metadata":
+                self._miss()
+            else:
+                self._corrupt(path)
             return None
         self.stats.hits += 1
         obs.inc("fleet.cache.hit")
@@ -415,22 +408,15 @@ class ResultCache:
             "blob_sha256": hashlib.sha256(blob).hexdigest(),
             "result": meta,
         }
+        document["meta_sha256"] = _meta_sha256(document)
         bin_path = path.with_suffix(".bin")
         self._write_atomic(
             bin_path.with_suffix(f".tmpb.{os.getpid()}"), bin_path, blob
         )
-        # Canonical bytes (sorted keys, fixed separators) so every
-        # writer of the same result produces the same entry file and the
-        # same SHA-256 — bare ``json.dumps`` made entry bytes depend on
-        # dict build order, which diverged from the ``sort_keys=True``
-        # discipline of the cache-key path and broke byte-level
-        # comparisons between equal entries from different writers.
         self._write_atomic(
             path.with_suffix(f".tmp.{os.getpid()}"),
             path,
-            json.dumps(
-                document, sort_keys=True, separators=(",", ":")
-            ).encode(),
+            _entry_bytes(document),
         )
         self.stats.writes += 1
         obs.inc("fleet.cache.write")

@@ -55,6 +55,59 @@ class TestDataset:
         )
         assert small_training.n_observations == per_count * 4
 
+    def test_equals_the_per_window_reference(self, small_training):
+        """One reshape mean per run gives what the per-window loop over
+        PMU samples gave, bit for bit."""
+        from repro.engine.simulator import PMU_INTERVAL_S
+        from repro.hardware import XEON_E5462
+        from repro.workloads.hpcc import HPCC_COMPONENTS, HpccWorkload
+
+        simulator = Simulator(XEON_E5462)
+        rows, power, labels = [], [], []
+        interval = int(PMU_INTERVAL_S)
+        for component in HPCC_COMPONENTS:
+            for nprocs in range(1, XEON_E5462.total_cores + 1):
+                workload = HpccWorkload(component, nprocs)
+                run = simulator.run(workload)
+                for k, sample in enumerate(run.pmu_samples):
+                    window = run.measured_watts[
+                        k * interval : (k + 1) * interval
+                    ]
+                    rows.append(sample.as_vector())
+                    power.append(float(window.mean()))
+                    labels.append(workload.label)
+        np.testing.assert_array_equal(small_training.features, np.vstack(rows))
+        assert small_training.power.tolist() == power
+        assert small_training.labels == tuple(labels)
+
+    def test_a_run_shorter_than_one_window_keeps_its_partial_mean(
+        self, e5462
+    ):
+        from repro.demand import ResourceDemand
+
+        runs = []
+
+        class ShortRuns:
+            def map_runs(self, simulator, workloads):
+                for w in workloads:
+                    demand = ResourceDemand(
+                        program=w.label,
+                        nprocs=1,
+                        duration_s=6.0,
+                        gflops=1.0,
+                        memory_mb=100.0,
+                    )
+                    runs.append(simulator.run(demand))
+                return runs
+
+        dataset = collect_hpcc_training(
+            e5462, proc_counts=[1], backend=ShortRuns()
+        )
+        assert dataset.n_observations == len(runs) == 7
+        assert dataset.power.tolist() == [
+            float(run.measured_watts.mean()) for run in runs
+        ]
+
     def test_shape_validation(self):
         with pytest.raises(RegressionError):
             RegressionDataset(

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.doctor.jsonl import JsonlWriter, has_live_writer
 from repro.fleet import read_events
 from repro.fleet.spec import campaign_to_dict, demo_campaign
 from repro.serve import ServeScheduler, StateStore, parse_submission
@@ -80,6 +81,52 @@ def test_audit_of_a_served_fleet_campaign_is_clean(
     assert code == 0, out.out
     assert list(root.glob("results/*.json"))
     assert not (root / "quarantine").exists()
+
+
+def test_fleet_result_from_before_document_digest_is_unverifiable(
+    served_fleet_state, tmp_path, capsys
+):
+    # A done record journaled before ``document_digest`` existed holds
+    # only the results digest the document embeds: the audit warns and
+    # repair leaves the healthy result alone.
+    root = tmp_path / "state"
+    shutil.copytree(served_fleet_state, root)
+    journal = root / "journal.jsonl"
+    records = [json.loads(line) for line in journal.read_text().splitlines()]
+    for record in records:
+        if record["kind"] == "done":
+            del record["document_digest"]
+    journal.write_text(
+        "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    )
+    code, out = _run(capsys, "doctor", "audit", "--serve-state", str(root))
+    assert code == 0, out.out
+    assert "[warn] serve-results c-000001: unverifiable_result" in out.out
+    assert "digest_mismatch" not in out.out
+    code, out = _run(capsys, "doctor", "repair", "--serve-state", str(root))
+    assert code == 0, out.out
+    assert list(root.glob("results/*.json"))
+    assert not (root / "quarantine").exists()
+
+
+def test_audit_leaves_a_live_event_log_to_its_writer(
+    served_state, tmp_path, capsys
+):
+    # An unlocked second writer could truncate away a daemon's appends.
+    root = tmp_path / "state"
+    shutil.copytree(served_state, root)
+    events = root / "events.jsonl"
+    before = events.read_bytes()
+    writer = JsonlWriter(events)
+    try:
+        assert has_live_writer(events)
+        code, out = _run(
+            capsys, "doctor", "audit", "--serve-state", str(root)
+        )
+        assert code == 0, out.out
+        assert events.read_bytes() == before
+    finally:
+        writer.close()
 
 
 def test_flipped_byte_in_a_fleet_result_is_a_digest_mismatch(

@@ -59,6 +59,19 @@ class TestTraces:
         l = long.pmu_matrix().mean(axis=0)
         assert s[1] == pytest.approx(l[1], rel=0.5)  # instructions/10 s
 
+    def test_pmu_matrix_reduces_like_the_stacked_samples(self, e5462):
+        """The feature matrix holds each sample's vector as a row, laid
+        out so its column means match the stacked vectors' bit for bit:
+        from 8 windows on, numpy sums a column-major copy pairwise."""
+        run = Simulator(e5462).run(HplWorkload(HplConfig(4, 0.5)))
+        stacked = np.vstack([s.as_vector() for s in run.pmu_samples])
+        assert len(stacked) >= 8
+        np.testing.assert_array_equal(run.pmu_matrix(), stacked)
+        assert (
+            run.pmu_matrix().mean(axis=0).tolist()
+            == stacked.mean(axis=0).tolist()
+        )
+
     def test_idle_run(self, e5462):
         run = Simulator(e5462).run(ResourceDemand.idle(60.0))
         assert run.measured_watts.mean() == pytest.approx(134.4, abs=2.0)

@@ -89,3 +89,18 @@ def test_empty_run_rejected():
 def test_pmu_matrix_requires_samples():
     with pytest.raises(SimulationError):
         make_result().pmu_matrix()
+
+
+@pytest.mark.parametrize("shape", [(8,), (3, 6), (3, 9), (2, 3, 8)])
+def test_pmu_of_the_wrong_shape_rejected(shape):
+    r = make_result(10)
+    with pytest.raises(SimulationError):
+        RunResult(
+            demand=r.demand,
+            t_start_s=0.0,
+            times_s=r.times_s,
+            true_watts=r.true_watts,
+            measured_watts=r.measured_watts,
+            memory_mb=r.memory_mb,
+            pmu=np.zeros(shape),
+        )

@@ -1,5 +1,6 @@
 """Content-addressed result cache: keys, round trips, resilience."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,14 +8,9 @@ import pytest
 
 from repro import io as repro_io
 from repro.demand import ResourceDemand
+from repro.doctor.stores import verify_cache_entry
 from repro.engine.simulator import Simulator
-from repro.fleet.cache import (
-    ResultCache,
-    canonical_json,
-    job_cache_key,
-    runresult_from_dict,
-    runresult_to_dict,
-)
+from repro.fleet.cache import ResultCache, canonical_json, job_cache_key
 from repro.fleet.spec import FleetJob, make_job
 from repro.hardware import XEON_E5462, OPTERON_8347
 from repro.workloads.hpl import HplConfig, HplWorkload
@@ -24,22 +20,6 @@ from repro.workloads.npb import NpbWorkload
 @pytest.fixture(scope="module")
 def run_result():
     return Simulator(XEON_E5462, seed=3).run(NpbWorkload("ep", "C", 4))
-
-
-class TestRunResultSerialisation:
-    def test_bit_identical_round_trip(self, run_result):
-        clone = runresult_from_dict(
-            json.loads(json.dumps(runresult_to_dict(run_result)))
-        )
-        assert clone.demand == run_result.demand
-        assert np.array_equal(clone.times_s, run_result.times_s)
-        assert np.array_equal(clone.true_watts, run_result.true_watts)
-        assert np.array_equal(clone.measured_watts, run_result.measured_watts)
-        assert np.array_equal(clone.memory_mb, run_result.memory_mb)
-        assert clone.pmu_samples == run_result.pmu_samples
-        assert clone.power_factor == run_result.power_factor
-        # Derived analysis quantities are consequently exact too.
-        assert clone.average_power_watts() == run_result.average_power_watts()
 
 
 class TestCacheKey:
@@ -104,9 +84,19 @@ class TestResultCache:
         hit = cache.get(key)
         assert hit is not None
         assert hit.wall_s == 0.25
-        assert np.array_equal(
-            hit.result.measured_watts, run_result.measured_watts
-        )
+        clone = hit.result
+        assert clone.demand == run_result.demand
+        assert clone.t_start_s == run_result.t_start_s
+        assert np.array_equal(clone.times_s, run_result.times_s)
+        assert np.array_equal(clone.true_watts, run_result.true_watts)
+        assert np.array_equal(clone.measured_watts, run_result.measured_watts)
+        assert np.array_equal(clone.memory_mb, run_result.memory_mb)
+        assert np.array_equal(clone.pmu, run_result.pmu)
+        assert np.array_equal(clone.pmu_matrix(), run_result.pmu_matrix())
+        assert clone.pmu_samples == run_result.pmu_samples
+        assert clone.power_factor == run_result.power_factor
+        # Derived analysis quantities are consequently exact too.
+        assert clone.average_power_watts() == run_result.average_power_watts()
         assert len(cache) == 1
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
@@ -226,3 +216,106 @@ class TestCacheIntegrity:
         assert cache.get(bad) is None
         assert len(cache) == 1
         assert cache.get(good) is not None
+
+
+def _resign(meta, edit):
+    """Apply ``edit`` to an entry's metadata document and re-sign it, so
+    the entry shows only the planted damage and not a stale checksum."""
+    document = json.loads(meta.read_text())
+    edit(document)
+    document.pop("meta_sha256", None)
+    body = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    document["meta_sha256"] = hashlib.sha256(body.encode()).hexdigest()
+    meta.write_text(json.dumps(document))
+
+
+def _set_array(name, grow):
+    def edit(document):
+        offset, count = document["result"]["arrays"][name]
+        document["result"]["arrays"][name] = [offset, count + grow]
+
+    return edit
+
+
+def _non_object_metadata(meta):
+    meta.write_text("[1, 2, 3]")
+
+
+def _wrong_kind(meta):
+    _resign(meta, lambda document: document.update(kind="something_else"))
+
+
+def _stale_salt(meta):
+    _resign(meta, lambda document: document.update(salt="repro-cache-v0"))
+
+
+def _missing_blob(meta):
+    meta.with_suffix(".bin").unlink()
+
+
+def _torn_blob(meta):
+    blob = meta.with_suffix(".bin")
+    raw = blob.read_bytes()
+    blob.write_bytes(raw[: len(raw) // 2])
+
+
+def _flipped_blob_bit(meta):
+    blob = meta.with_suffix(".bin")
+    raw = bytearray(blob.read_bytes())
+    raw[len(raw) // 2] ^= 0x01
+    blob.write_bytes(bytes(raw))
+
+
+def _array_out_of_bounds(meta):
+    _resign(meta, _set_array("memory_mb", 1000))
+
+
+def _array_count_one_short(meta):
+    _resign(meta, _set_array("measured_watts", -1))
+
+
+def _flipped_metadata_digit(meta):
+    raw = meta.read_text()
+    assert '"gflops":0.1237' in raw
+    meta.write_text(raw.replace('"gflops":0.1237', '"gflops":9.1237'))
+
+
+def _snapshot(root):
+    return {
+        path: (path.read_bytes(), path.stat().st_mtime_ns)
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize(
+    "damage, problem",
+    [
+        (_non_object_metadata, "malformed_metadata"),
+        (_wrong_kind, "wrong_kind"),
+        (_stale_salt, "stale_salt"),
+        (_missing_blob, "missing_blob"),
+        (_torn_blob, "blob_length_mismatch"),
+        (_flipped_blob_bit, "blob_checksum_mismatch"),
+        (_array_out_of_bounds, "array_out_of_bounds:memory_mb"),
+        (_array_count_one_short, "malformed_metadata"),
+        (_flipped_metadata_digit, "metadata_checksum_mismatch"),
+    ],
+    ids=lambda value: value.__name__.strip("_") if callable(value) else value,
+)
+def test_one_decoder_rejects_every_damage(
+    tmp_path, run_result, damage, problem
+):
+    """The cache and the doctor judge an entry by one decoder: the audit
+    names the damage and touches nothing, and a lookup quarantines it."""
+    cache = ResultCache(tmp_path / "cache")
+    key = "77" + "0" * 62
+    meta = cache.put(key, run_result, wall_s=0.25)
+    damage(meta)
+    before = _snapshot(cache.root)
+    assert verify_cache_entry(meta) == problem
+    assert _snapshot(cache.root) == before
+    assert cache.get(key) is None
+    assert cache.stats.hits == 0
+    assert cache.stats.quarantined == 1
+    assert not meta.exists() and not meta.with_suffix(".bin").exists()
