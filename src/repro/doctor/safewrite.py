@@ -2,9 +2,10 @@
 
 Every fsync/atomic-write path in the repo — the fleet's result cache,
 the serve daemon's results store, the model registry, journal
-compaction — funnels through :func:`write_atomic`, and every journal
-append through :class:`repro.doctor.jsonl.JsonlWriter`.  That gives
-them one contract:
+compaction — funnels through :func:`write_atomic`, every journal
+append through :class:`repro.doctor.jsonl.JsonlWriter`, and every move
+of a damaged entry out of those three stores through
+:func:`quarantine`.  That gives them one contract:
 
 * a successful write is durable (temp file + ``fsync`` + ``os.replace``
   for documents, ``write`` [+ ``fsync``] for journal appends);
@@ -14,7 +15,8 @@ them one contract:
   degrade deliberately —
   shed load, skip the cache, leave the campaign journaled — instead of
   dying mid-write with half an entry on disk;
-* any other ``OSError`` (permissions, bad path) propagates untouched.
+* any other ``OSError`` (permissions, bad path) propagates untouched;
+* a quarantined corpse never overwrites an earlier one.
 
 The module doubles as the chaos harness's *disk-full injector*: a
 write-token budget, settable in-process (:func:`inject_disk_full`) or
@@ -28,6 +30,7 @@ write fails, not a random one.
 from __future__ import annotations
 
 import errno
+import itertools
 import os
 import threading
 from pathlib import Path
@@ -41,6 +44,7 @@ __all__ = [
     "fault_active",
     "inject_disk_full",
     "is_degrading",
+    "quarantine",
     "write_atomic",
 ]
 
@@ -53,6 +57,10 @@ ENV_FAULT_BUDGET = "REPRO_FAULT_ENOSPC"
 
 _lock = threading.Lock()
 _budget: "int | None" = None  # None: no fault injected
+
+#: Per-process sequence of quarantine tags: with the pid, it keeps two
+#: quarantines, in one process or in two, from sharing a corpse name.
+_QUARANTINE_SEQ = itertools.count(1)
 
 
 def _load_env_budget() -> "int | None":
@@ -135,3 +143,26 @@ def write_atomic(tmp: Path, dest: Path, payload: bytes) -> None:
         if is_degrading(exc):
             raise StorageDegradedError(dest, exc) from exc
         raise
+
+
+def quarantine(qdir: Path, name: str, *victims: Path) -> bool:
+    """Move one damaged entry's files into ``qdir``, beside every earlier
+    corpse.
+
+    Each file lands as ``<name>.q<seq>-<pid><suffix>``, one tag for the
+    whole entry: the per-process sequence plus the pid keep a second
+    damage event of the same entry, in this process or another, from
+    overwriting the first corpse, so each stays inspectable.  Victims
+    that do not exist are skipped.  Returns ``False`` when a move fails
+    (e.g. a permissions race); the entry then stays in place, still
+    failing its checks, never served.
+    """
+    tag = f"q{next(_QUARANTINE_SEQ):06d}-{os.getpid()}"
+    try:
+        qdir.mkdir(parents=True, exist_ok=True)
+        for victim in victims:
+            if victim.exists():
+                os.replace(victim, qdir / f"{name}.{tag}{victim.suffix}")
+    except OSError:
+        return False
+    return True

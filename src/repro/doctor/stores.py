@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro.doctor import safewrite
 from repro.doctor.jsonl import (
     Line,
     compact,
@@ -41,7 +41,7 @@ from repro.doctor.jsonl import (
     read_lines,
     read_records,
 )
-from repro.errors import JournalBusyError
+from repro.errors import JournalBusyError, ModelIntegrityError
 from repro.fleet.cache import (
     CacheEntryError,
     ResultCache,
@@ -420,20 +420,14 @@ class ServeResultsStore(StoreAdapter):
         findings = self.audit()
         qdir = self.root / "quarantine"
         for finding in findings:
-            if finding.severity != "corrupt":
-                continue
             victim = Path(finding.path)
-            if not victim.exists():
-                continue
-            try:
-                qdir.mkdir(parents=True, exist_ok=True)
-                os.replace(
-                    victim,
-                    qdir / f"results-{victim.name}.{os.getpid()}",
-                )
-            except OSError:
-                continue
-            finding.action = "quarantined"
+            name = f"results-{victim.name}"
+            if (
+                finding.severity == "corrupt"
+                and victim.exists()
+                and safewrite.quarantine(qdir, name, victim)
+            ):
+                finding.action = "quarantined"
         return findings
 
     def evict(self, entry: StoreEntry) -> int:
@@ -453,28 +447,19 @@ class ServeResultsStore(StoreAdapter):
 
 
 def verify_model_artifact(path: Path) -> "str | None":
-    """Read-only integrity check of one registry artifact."""
-    from repro.model.registry import (
-        ARTIFACT_KIND,
-        ARTIFACT_SCHEMA_VERSION,
-        _document_digest,
-    )
+    """Integrity-check one registry artifact without loading or moving it.
+
+    Runs :func:`repro.model.registry.read_artifact`, the decoder behind
+    :meth:`~repro.model.registry.ModelRegistry.get`, and returns the
+    failed check's name (``None`` for a sound artifact) instead of
+    quarantining.
+    """
+    from repro.model.registry import read_artifact
 
     try:
-        document = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return "unreadable_artifact"
-    if not isinstance(document, dict):
-        return "malformed_artifact"
-    if document.get("kind") != ARTIFACT_KIND:
-        return "wrong_kind"
-    if document.get("schema_version") != ARTIFACT_SCHEMA_VERSION:
-        return "wrong_schema_version"
-    try:
-        if document.get("digest") != _document_digest(document):
-            return "digest_mismatch"
-    except (KeyError, TypeError, ValueError):
-        return "malformed_artifact"
+        read_artifact(path)
+    except ModelIntegrityError as exc:
+        return exc.problem
     return None
 
 

@@ -151,7 +151,14 @@ class ModelIntegrityError(ModelRegistryError):
     The artifact is quarantined rather than served; a corrupted model
     silently predicting wrong watts would defeat the registry's whole
     purpose of making trained models trustworthy reusable artifacts.
+    ``problem`` names the failed check, as ``repro doctor audit``
+    reports it (``unreadable_artifact``, ``malformed_artifact``,
+    ``wrong_kind``, ``wrong_schema_version``, ``digest_mismatch``).
     """
+
+    def __init__(self, message: str, problem: str = "malformed_artifact"):
+        super().__init__(message)
+        self.problem = problem
 
 
 class ValidationBandError(ModelRegistryError):

@@ -41,8 +41,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-import itertools
-
 import numpy as np
 
 from repro import obs
@@ -68,11 +66,6 @@ __all__ = [
 CACHE_SALT = "repro-fleet-cache-v4"
 
 _ENTRY_KIND = "fleet_cache_entry"
-
-#: Per-process monotonic sequence for quarantine corpse names: two
-#: quarantines of the same key (or of two keys sharing a stem) must
-#: never overwrite each other's corpse.
-_QUARANTINE_SEQ = itertools.count(1)
 
 
 def _normalise(value: Any) -> Any:
@@ -332,26 +325,17 @@ class ResultCache:
         """Move a damaged entry (metadata + blob) out of the lookup path.
 
         Corpses land under ``<root>/quarantine/`` as
-        ``<key>.q<seq>-<pid>.<ext>``: the monotonic per-process sequence
-        plus the pid guarantees a same-key re-quarantine (or two
-        processes quarantining concurrently) never overwrites an
-        earlier corpse — each damage event stays inspectable.  Failure
-        to move (e.g. a permissions race) falls back to leaving the
-        entry in place — it will simply keep counting as corrupt, never
-        as a hit.
+        ``<key>.q<seq>-<pid>.<ext>`` (:func:`repro.doctor.safewrite.
+        quarantine`), so a same-key re-quarantine never overwrites an
+        earlier corpse.  Failure to move (e.g. a permissions race) falls
+        back to leaving the entry in place — it will simply keep
+        counting as corrupt, never as a hit.
         """
-        qdir = self.root / "quarantine"
-        tag = f"q{next(_QUARANTINE_SEQ):06d}-{os.getpid()}"
-        try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            for victim in (path, path.with_suffix(".bin")):
-                if victim.exists():
-                    corpse = qdir / f"{victim.stem}.{tag}{victim.suffix}"
-                    os.replace(victim, corpse)
-        except OSError:
-            return
-        self.stats.quarantined += 1
-        obs.inc("fleet.cache.quarantined")
+        if safewrite.quarantine(
+            self.root / "quarantine", path.stem, path, path.with_suffix(".bin")
+        ):
+            self.stats.quarantined += 1
+            obs.inc("fleet.cache.quarantined")
 
     def put(
         self, key: str, result: RunResult, wall_s: float

@@ -1,10 +1,12 @@
 """The fleet runner: parallel, cached, fault-tolerant campaign execution.
 
 Jobs fan out over a ``ProcessPoolExecutor`` (fork start method where the
-platform has it, so workers inherit the imported simulator).  Before a
-job is submitted its content-addressed cache key is consulted; hits are
-returned without touching the pool, which is what makes repeated sweeps
-and benchmarks near-free.  Failed attempts are retried with exponential
+platform has it, so workers inherit the imported simulator), or, with
+one worker, run inline in this process.  Both go through one dispatch
+loop; only the executor differs.  Before a job is submitted its
+content-addressed cache key is consulted; hits are returned without
+touching the executor, which is what makes repeated sweeps and
+benchmarks near-free.  Failed attempts are retried with exponential
 backoff up to the retry policy's budget; jobs that exhaust it are
 recorded in the outcome's failure report while the rest of the campaign
 completes — a campaign never aborts because one point misbehaved.  A
@@ -281,16 +283,35 @@ class FleetOutcome:
         return FleetReport.from_outcome(self)
 
 
-def _chunked(jobs: "list[FleetJob]", size: int) -> "list[list[FleetJob]]":
-    """Split ``jobs`` into order-preserving chunks of at most ``size``."""
-    return [jobs[i : i + size] for i in range(0, len(jobs), size)]
+class _InlineExecutor:
+    """Runs each call in this process as it is submitted.
+
+    ``submit`` returns a finished future: an ``Exception`` is set on it
+    for the dispatch loop's fault barrier, as a pool worker's would be,
+    while a ``BaseException`` such as ``KeyboardInterrupt`` propagates.
+    """
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - the loop's fault barrier
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False) -> None:
+        """Nothing to release: no process ever started."""
 
 
-def _pool_context():
-    """Fork where available (cheap workers); platform default otherwise."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None
+def _executor(workers: int) -> "ProcessPoolExecutor | _InlineExecutor":
+    """A campaign's executor: inline for ``workers <= 1``, else a pool
+    that forks where it can (cheap workers that inherit the imported
+    simulator) and uses the platform default otherwise."""
+    if workers <= 1:
+        return _InlineExecutor()
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork") if fork else None
+    return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -316,7 +337,8 @@ class FleetRunner:
     ----------
     workers:
         Pool size; ``None`` for :func:`default_workers`.  ``1`` runs
-        jobs inline (no pool) — the serial baseline.
+        jobs inline, in this process and through the same dispatch loop
+        (no pool) — the serial baseline.
     cache:
         Optional :class:`~repro.fleet.cache.ResultCache`; ``None``
         disables caching.
@@ -340,7 +362,9 @@ class FleetRunner:
         length (members run serially in the worker).  On expiry the
         pool is killed and replaced, innocent in-flight work re-runs at
         the same attempt, and the overdue job is charged one attempt —
-        so a hung worker costs seconds, not the campaign.
+        so a hung worker costs seconds, not the campaign.  Inline runs
+        (``workers=1``) ignore it: an in-process call has returned
+        before its deadline could be checked.
     max_pool_replacements:
         How many times a campaign may rebuild its pool after crashes or
         hangs before the remaining jobs are failed outright.  Bounds
@@ -378,6 +402,10 @@ class FleetRunner:
         if self.max_pool_replacements < 0:
             raise ConfigurationError(
                 "max_pool_replacements must be non-negative"
+            )
+        if self.chunk_size is not None and self.chunk_size < 1:
+            raise ConfigurationError(
+                f"chunk_size must be >= 1, got {self.chunk_size}"
             )
         workers = self.workers if self.workers is not None else default_workers()
         self._emit(
@@ -420,16 +448,7 @@ class FleetRunner:
                     if self.chunk_size is not None
                     else auto_chunk_size(len(pending), workers)
                 )
-                if chunk_size < 1:
-                    raise ConfigurationError(
-                        f"chunk_size must be >= 1, got {chunk_size}"
-                    )
-                if workers <= 1:
-                    self._run_inline(pending, name, records, chunk_size)
-                else:
-                    self._run_pool(
-                        pending, name, workers, records, chunk_size
-                    )
+                self._dispatch(pending, name, workers, records, chunk_size)
 
         wall_s = time.perf_counter() - t0
         metrics = None
@@ -459,76 +478,9 @@ class FleetRunner:
         )
         return outcome
 
-    # -- execution strategies -------------------------------------------
+    # -- execution -----------------------------------------------------
 
-    def _run_inline(
-        self,
-        pending: "list[FleetJob]",
-        name: str,
-        records: "dict[str, JobRecord]",
-        chunk_size: int,
-    ) -> None:
-        """Serial execution in this process (workers=1 / baseline)."""
-        if chunk_size > 1:
-            for chunk in _chunked(pending, chunk_size):
-                for job in chunk:
-                    self._emit_start(name, job, 1)
-                try:
-                    out = execute_chunk(
-                        [job_payload(job, 1, self.fault) for job in chunk]
-                    )
-                except Exception as exc:  # noqa: BLE001 - fault barrier
-                    for job in chunk:
-                        self._retry_inline(name, job, exc, records)
-                    continue
-                for job, exc in self._absorb_chunk(name, chunk, out, records):
-                    self._retry_inline(name, job, exc, records)
-            return
-        for job in pending:
-            attempt = 1
-            while True:
-                self._emit_start(name, job, attempt)
-                try:
-                    out = execute_job(job_payload(job, attempt, self.fault))
-                except Exception as exc:  # noqa: BLE001 - fault barrier
-                    if self.retry.should_retry(attempt, exc):
-                        self._emit_retry(name, job, attempt, exc)
-                        time.sleep(self.retry.delay_s(attempt, seed=job.seed))
-                        attempt += 1
-                        continue
-                    records[job.job_id] = self._failed(name, job, attempt, exc)
-                    break
-                records[job.job_id] = self._finished(name, job, attempt, out)
-                self._checkpoint(name, (job.job_id,))
-                break
-
-    def _retry_inline(
-        self,
-        name: str,
-        job: FleetJob,
-        exc: BaseException,
-        records: "dict[str, JobRecord]",
-    ) -> None:
-        """Retry a job whose chunk attempt (attempt 1) failed, inline."""
-        attempt = 1
-        while True:
-            if not self.retry.should_retry(attempt, exc):
-                records[job.job_id] = self._failed(name, job, attempt, exc)
-                return
-            self._emit_retry(name, job, attempt, exc)
-            time.sleep(self.retry.delay_s(attempt, seed=job.seed))
-            attempt += 1
-            self._emit_start(name, job, attempt)
-            try:
-                out = execute_job(job_payload(job, attempt, self.fault))
-            except Exception as next_exc:  # noqa: BLE001 - fault barrier
-                exc = next_exc
-                continue
-            records[job.job_id] = self._finished(name, job, attempt, out)
-            self._checkpoint(name, (job.job_id,))
-            return
-
-    def _run_pool(
+    def _dispatch(
         self,
         pending: "list[FleetJob]",
         name: str,
@@ -536,29 +488,39 @@ class FleetRunner:
         records: "dict[str, JobRecord]",
         chunk_size: int,
     ) -> None:
-        """Parallel execution with retry, watchdog, and pool replacement.
+        """The one dispatch loop: retries, watchdog, pool replacement.
 
-        With ``chunk_size > 1`` the first attempt of every job travels in
-        a chunk (one pickle round-trip per ``chunk_size`` jobs); failed
-        entries are resubmitted as single jobs so retries stay per-job.
+        Units go to :func:`_executor`'s executor: a process pool, or for
+        ``workers <= 1`` an inline one that runs each unit in this
+        process as it is submitted.  With ``chunk_size > 1`` the first
+        attempt of every job travels in a chunk (one pickle round-trip
+        per ``chunk_size`` jobs); failed entries are resubmitted as
+        single jobs so retries stay per-job.  Every failed attempt goes
+        through ``charge``, the one place the retry policy is asked; a
+        retried attempt queues behind the units already queued.
 
         A crashed worker (``BrokenProcessPool``) or an overdue job
         (``timeout_s``) kills and rebuilds the pool: the culprit unit is
         charged one attempt, innocent in-flight units re-run at the same
         attempt (safe — results are deterministic), and after
         ``max_pool_replacements`` rebuilds whatever remains is failed
-        rather than looping on a persistently broken fleet.
+        rather than looping on a persistently broken fleet.  Neither can
+        happen inline: an inline unit has returned before its deadline
+        is set.
         """
-        ctx = _pool_context()
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+        pool = _executor(workers)
         replacements = 0
         futures: dict[Future, dict] = {}
         # Our own dispatch queue (vs. the executor's): kept shallow so a
         # pool replacement only has to requeue ~2*workers in-flight units.
+        # Inline keeps one unit in flight, so its events follow the queue.
+        depth = 2 * workers if workers > 1 else 1
         queue: deque = deque()
         if chunk_size > 1:
-            for chunk in _chunked(pending, chunk_size):
-                queue.append({"kind": "chunk", "chunk": chunk})
+            for i in range(0, len(pending), chunk_size):
+                queue.append(
+                    {"kind": "chunk", "chunk": pending[i : i + chunk_size]}
+                )
         else:
             for job in pending:
                 queue.append({"kind": "job", "job": job, "attempt": 1})
@@ -621,7 +583,7 @@ class FleetRunner:
             self._emit(
                 "pool_replaced", campaign=name, reason=reason, count=replacements
             )
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+            pool = _executor(workers)
             return True
 
         def settle(units: "list[dict]", reason: str, alive: bool) -> None:
@@ -654,7 +616,7 @@ class FleetRunner:
         try:
             while queue or futures:
                 submit_failed = False
-                while queue and len(futures) < workers * 2:
+                while queue and len(futures) < depth:
                     unit = queue.popleft()
                     try:
                         submit(unit)

@@ -1,4 +1,4 @@
-"""The fleet worker: executes one job inside a pool process.
+"""The fleet worker: executes job payloads in a pool process or inline.
 
 Everything here must be picklable and importable from a bare worker
 process.  Jobs arrive as plain dicts (server spec JSON, tagged workload
@@ -6,6 +6,12 @@ dict, seed), the worker reconstructs the simulator — memoised per
 process, since a campaign typically reuses a handful of servers — runs
 the workload, and returns the full :class:`~repro.engine.trace.RunResult`
 (small: a few KB of pickled arrays).
+
+The runner's two unit kinds have one target each: a chunk goes to
+:func:`execute_chunk`, a solo retry to :func:`execute_job`.  Both run
+one private body, so the per-payload fault barrier, the timing and the
+per-call metrics registry are written once.  An inline campaign
+(``workers=1``) calls the same targets in the runner's own process.
 
 Fault injection for tests and chaos drills is deterministic: a
 :class:`FaultInjection` names jobs by label substring and the number of
@@ -24,7 +30,6 @@ from typing import Any
 
 from repro import obs
 from repro.engine.simulator import Simulator
-from repro.engine.trace import RunResult
 from repro.errors import SimulationError
 from repro.fleet.spec import workload_from_dict
 
@@ -145,51 +150,17 @@ def job_payload(
 
 
 def execute_job(payload: dict[str, Any]) -> dict[str, Any]:
-    """Run one job attempt; the pool's target function.
+    """Run one job attempt; the target of a solo retry.
 
     Returns ``{"job_id", "result": RunResult, "wall_s", "worker",
-    "metrics"}`` — ``metrics`` is a per-job
-    :meth:`~repro.obs.MetricsRegistry.snapshot` when observability is on
-    (the runner merges them into the campaign's registry), ``None``
-    otherwise.  Exceptions propagate to the parent, which applies the
-    retry policy.
+    "metrics"}``.  The job's exception propagates to the parent, which
+    applies the retry policy.
     """
-    fault: "FaultInjection | None" = payload["fault"]
-    if fault is not None and fault.should_fail(
-        payload["label"], payload["attempt"]
-    ):
-        fault.trigger(payload["job_id"], payload["attempt"])
-    collect = bool(payload.get("obs"))
-    if collect:
-        obs.enable()
-    t0 = time.perf_counter()
-    if collect:
-        # An isolated registry keeps this job's metrics separable from
-        # whatever else the process has counted; the snapshot rides home
-        # with the result and merges exactly on the runner side.
-        registry = obs.MetricsRegistry()
-        with obs.use_registry(registry):
-            result = _simulate(payload)
-        metrics = registry.snapshot()
-    else:
-        result = _simulate(payload)
-        metrics = None
-    return {
-        "job_id": payload["job_id"],
-        "result": result,
-        "wall_s": time.perf_counter() - t0,
-        "worker": os.getpid(),
-        "metrics": metrics,
-    }
-
-
-def _simulate(payload: dict[str, Any]) -> RunResult:
-    """Reconstruct the simulator and run the payload's workload."""
-    simulator = _simulator_for(
-        payload["server_json"], payload["seed"], payload["placement"]
-    )
-    workload = workload_from_dict(payload["workload"])
-    return simulator.run(workload)
+    out = _execute([payload])
+    (entry,) = out.pop("entries")
+    if entry["error"] is not None:
+        raise entry["error"]
+    return {"job_id": entry["job_id"], "result": entry["result"], **out}
 
 
 def execute_chunk(payloads: "list[dict[str, Any]]") -> dict[str, Any]:
@@ -206,17 +177,31 @@ def execute_chunk(payloads: "list[dict[str, Any]]") -> dict[str, Any]:
     errors) never raise — they come back in the entry so the runner can
     retry just that job, not the whole chunk.
     """
+    return _execute(payloads)
+
+
+def _execute(payloads: "list[dict[str, Any]]") -> dict[str, Any]:
+    """The one worker body: run payloads in order, timed, each behind
+    its own fault barrier.
+
+    ``metrics`` is a :meth:`~repro.obs.MetricsRegistry.snapshot` of the
+    whole call when observability is on (the runner merges it into the
+    campaign's registry), ``None`` otherwise.
+    """
     collect = any(p.get("obs") for p in payloads)
     if collect:
         obs.enable()
     t0 = time.perf_counter()
     if collect:
+        # An isolated registry keeps these jobs' metrics separable from
+        # whatever else the process has counted; the snapshot rides home
+        # with the result and merges exactly on the runner side.
         registry = obs.MetricsRegistry()
         with obs.use_registry(registry):
-            entries = _run_chunk(payloads)
+            entries = [_run_payload(p) for p in payloads]
         metrics = registry.snapshot()
     else:
-        entries = _run_chunk(payloads)
+        entries = [_run_payload(p) for p in payloads]
         metrics = None
     return {
         "entries": entries,
@@ -226,21 +211,21 @@ def execute_chunk(payloads: "list[dict[str, Any]]") -> dict[str, Any]:
     }
 
 
-def _run_chunk(payloads: "list[dict[str, Any]]") -> list[dict[str, Any]]:
-    """Evaluate chunk payloads in order, one fault barrier per job."""
-    entries = []
-    for payload in payloads:
-        entry = {"job_id": payload["job_id"], "result": None, "error": None}
-        fault: "FaultInjection | None" = payload["fault"]
-        try:
-            if fault is not None and fault.should_fail(
-                payload["label"], payload["attempt"]
-            ):
-                # crash exits here; hang sleeps here (a hung member hangs
-                # its whole chunk, as it would in a real worker).
-                fault.trigger(payload["job_id"], payload["attempt"])
-            entry["result"] = _simulate(payload)
-        except Exception as exc:  # noqa: BLE001 - fault barrier
-            entry["error"] = exc
-        entries.append(entry)
-    return entries
+def _run_payload(payload: dict[str, Any]) -> dict[str, Any]:
+    """One job's entry: its result, or the exception it raised."""
+    entry = {"job_id": payload["job_id"], "result": None, "error": None}
+    fault: "FaultInjection | None" = payload["fault"]
+    try:
+        if fault is not None and fault.should_fail(
+            payload["label"], payload["attempt"]
+        ):
+            # crash exits here; hang sleeps here (a hung member hangs
+            # its whole chunk, as it would in a real worker).
+            fault.trigger(payload["job_id"], payload["attempt"])
+        simulator = _simulator_for(
+            payload["server_json"], payload["seed"], payload["placement"]
+        )
+        entry["result"] = simulator.run(workload_from_dict(payload["workload"]))
+    except Exception as exc:  # noqa: BLE001 - fault barrier
+        entry["error"] = exc
+    return entry

@@ -25,7 +25,8 @@ the per-row code gives:
   ``10**3`` / ``10**2`` (the correctly rounded quotient is
   ``float(text)``); any other chunk, and every row after it, goes
   through the per-row ``csv.reader`` + ``float()`` parser, which alone
-  defines what the strict reader accepts and how it fails;
+  defines what a reader accepts: the strict reader fails on the first
+  malformed row, the tolerant one records its line and goes on;
 * the merge cuts every file's current chunk at the smallest last
   timestamp among them and stable-sorts the pieces in argument order.
 """
@@ -218,7 +219,13 @@ def read_power_csv(path: "str | Path") -> tuple[np.ndarray, np.ndarray]:
     The concatenation of the :func:`iter_power_csv` chunks; a
     header-only file gives two empty arrays.
     """
-    chunks = list(iter_power_csv(path))
+    return _concatenated(iter_power_csv(path))
+
+
+def _concatenated(
+    chunks: "Iterator[tuple[np.ndarray, np.ndarray]]",
+) -> tuple[np.ndarray, np.ndarray]:
+    chunks = list(chunks)
     if not chunks:
         return np.empty(0), np.empty(0)
     times, watts = zip(*chunks)
@@ -251,34 +258,17 @@ def read_power_csv_tolerant(
     line numbers so the repair stage (:func:`repro.metering.analysis.
     repair_trace`) can treat them as dropouts.  A missing or wrong
     header still raises — that is a different file, not a damaged one.
+    It shares the strict reader's parser: canonical chunks as arrays,
+    then the per-row loop, which decodes with ``errors="replace"``.
     """
-    path = Path(path)
-    times: list[float] = []
-    watts: list[float] = []
     bad: list[int] = []
-    n_rows = 0
-    with path.open(newline="", errors="replace") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != HEADER:
-            raise MeterError(f"{path}: not a power CSV (header {header!r})")
-        for lineno, row in enumerate(reader, start=2):
-            n_rows += 1
-            if len(row) != 2:
-                bad.append(lineno)
-                continue
-            try:
-                t, w = float(row[0]), float(row[1])
-            except ValueError:
-                bad.append(lineno)
-                continue
-            times.append(t)
-            watts.append(w)
-    return (
-        np.asarray(times),
-        np.asarray(watts),
-        CsvReadReport(n_rows=n_rows, n_bad=len(bad), bad_lines=tuple(bad)),
+    times, watts = _concatenated(
+        _iter_chunks(Path(path), DEFAULT_CHUNK_SIZE, bad)
     )
+    report = CsvReadReport(
+        n_rows=times.size + len(bad), n_bad=len(bad), bad_lines=tuple(bad)
+    )
+    return times, watts, report
 
 
 def iter_power_csv(
@@ -286,7 +276,7 @@ def iter_power_csv(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Read one CSV in bounded chunks of ``(times_s, watts)`` arrays.
 
-    The one strict parser: a wrong header, a row without exactly two
+    The strict reader: a wrong header, a row without exactly two
     columns or an unparseable value raises :class:`MeterError` naming
     the file and line.  Peak memory is O(``chunk_size``);
     :func:`read_power_csv` concatenates the chunks.
@@ -300,7 +290,15 @@ def iter_power_csv(
     """
     if chunk_size < 1:
         raise MeterError(f"chunk_size must be >= 1, got {chunk_size}")
-    path = Path(path)
+    yield from _iter_chunks(Path(path), chunk_size)
+
+
+def _iter_chunks(
+    path: Path, chunk_size: int, bad: "list[int] | None" = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Canonical chunks as arrays, then :func:`_iter_rows` from the first
+    other chunk to the end of the file (csv quoting can join lines, so a
+    later chunk cannot be re-entered).  Strict unless ``bad`` is given."""
     parsed = 0
     with path.open("rb") as fh:
         if fh.readline() == _HEADER_LINE:
@@ -312,7 +310,7 @@ def iter_power_csv(
                 parsed += len(lines)
             else:
                 return  # end of file, every row canonical
-    yield from _iter_rows(path, chunk_size, skip=parsed)
+    yield from _iter_rows(path, chunk_size, parsed, bad)
 
 
 def _parse_canonical(
@@ -358,14 +356,21 @@ def _parse_canonical(
 
 
 def _iter_rows(
-    path: Path, chunk_size: int, skip: int
+    path: Path, chunk_size: int, skip: int, bad: "list[int] | None"
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The per-row parser, from data row ``skip`` on (the rows before it
-    were read as canonical chunks)."""
+    """The one per-row parser, from data row ``skip`` on (the rows before
+    it were read as canonical chunks).
+
+    Strict when ``bad`` is ``None``: a malformed row raises
+    :class:`MeterError` naming the file and line.  Tolerant otherwise:
+    the file decodes with ``errors="replace"`` and each malformed row's
+    line number goes into ``bad``.  A wrong header raises either way.
+    """
     times: list[float] = []
     watts: list[float] = []
+    errors = "strict" if bad is None else "replace"
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", errors=errors) as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(header) != HEADER:
@@ -374,13 +379,17 @@ def _iter_rows(
                 )
             rows = itertools.islice(reader, skip, None)
             for lineno, row in enumerate(rows, start=2 + skip):
-                if len(row) != 2:
-                    raise MeterError(f"{path}:{lineno}: expected 2 columns")
                 try:
-                    times.append(float(row[0]))
-                    watts.append(float(row[1]))
+                    if len(row) != 2:
+                        raise ValueError("expected 2 columns")
+                    t, w = float(row[0]), float(row[1])
                 except ValueError as exc:
-                    raise MeterError(f"{path}:{lineno}: {exc}") from exc
+                    if bad is None:
+                        raise MeterError(f"{path}:{lineno}: {exc}") from exc
+                    bad.append(lineno)
+                    continue
+                times.append(t)
+                watts.append(w)
                 if len(times) >= chunk_size:
                     yield np.asarray(times), np.asarray(watts)
                     times, watts = [], []

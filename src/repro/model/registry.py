@@ -29,8 +29,10 @@ two SHA-256 digests:
 Writes follow the fleet cache's durability discipline (temp file +
 ``fsync`` + ``os.replace``), so a crash mid-publish leaves either no
 artifact or a complete one.  Reads re-verify ``digest`` before a
-single coefficient is trusted; a mismatch quarantines the file and
-raises :class:`~repro.errors.ModelIntegrityError` instead of serving a
+single coefficient is trusted: :func:`read_artifact` is the one decoder,
+for :meth:`ModelRegistry.get` and the doctor's audit alike.  A failed
+check quarantines the file and raises
+:class:`~repro.errors.ModelIntegrityError` instead of serving a
 silently corrupted model.
 """
 
@@ -48,6 +50,7 @@ from typing import Any
 from repro import io as repro_io
 from repro import obs
 from repro.core.regression import PowerRegressionModel, RegressionDataset
+from repro.doctor import safewrite
 from repro.errors import ModelIntegrityError, ModelRegistryError
 from repro.fleet.cache import canonical_json
 from repro.hardware.pmu import REGRESSION_FEATURES
@@ -57,6 +60,7 @@ __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
     "ModelArtifact",
     "ModelRegistry",
+    "read_artifact",
     "training_metadata",
 ]
 
@@ -116,6 +120,41 @@ def training_metadata(
 def _document_digest(document: dict[str, Any]) -> str:
     body = {k: v for k, v in document.items() if k != "digest"}
     return hashlib.sha256(canonical_json(body).encode()).hexdigest()
+
+
+def read_artifact(path: Path) -> dict[str, Any]:
+    """Read and check the artifact at ``path``; returns its document.
+
+    The one decoder behind :meth:`ModelRegistry.get` (which quarantines
+    what it rejects) and ``repro doctor audit`` (which only reports
+    it); it changes no file.  Raises
+    :class:`~repro.errors.ModelIntegrityError` whose ``problem`` names
+    the first check the artifact fails.
+    """
+    try:
+        document = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ModelIntegrityError(
+            f"artifact {path} is unreadable: {exc}", "unreadable_artifact"
+        ) from exc
+    if not isinstance(document, dict):
+        problem = "malformed_artifact"
+        detail = f"a JSON {type(document).__name__}, not an object"
+    elif document.get("kind") != ARTIFACT_KIND:
+        problem, detail = "wrong_kind", f"kind is {document.get('kind')!r}"
+    elif document.get("schema_version") != ARTIFACT_SCHEMA_VERSION:
+        problem = "wrong_schema_version"
+        detail = f"schema_version is {document.get('schema_version')!r}"
+    else:
+        try:
+            if document.get("digest") == _document_digest(document):
+                return document
+            problem, detail = "digest_mismatch", "digest mismatch"
+        except (TypeError, ValueError) as exc:
+            problem, detail = "malformed_artifact", str(exc)
+    raise ModelIntegrityError(
+        f"artifact {path} failed verification ({detail})", problem
+    )
 
 
 @dataclass(frozen=True)
@@ -203,11 +242,11 @@ class ModelRegistry:
         return sorted(found)
 
     def get(self, name: str, version: "int | None" = None) -> ModelArtifact:
-        """Read one artifact, verifying its checksum first.
+        """Read one artifact, verifying it first (:func:`read_artifact`).
 
-        ``version=None`` resolves to the latest.  A document whose
-        recomputed digest disagrees with the recorded one is moved to
-        ``<root>/quarantine/`` and :class:`ModelIntegrityError` raised.
+        ``version=None`` resolves to the latest.  A document that fails
+        any check is moved to ``<root>/quarantine/`` and
+        :class:`ModelIntegrityError` raised.
         """
         versions = self.versions(name)
         if not versions:
@@ -222,13 +261,13 @@ class ModelRegistry:
             )
         path = self._path(name, version)
         try:
-            document = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            document = read_artifact(path)
+        except ModelIntegrityError as exc:
             self._quarantine(path)
+            obs.inc("model.registry.integrity_failure")
             raise ModelIntegrityError(
-                f"artifact {path} is unreadable: {exc}"
+                f"{exc}; quarantined", exc.problem
             ) from exc
-        self._verify(document, path)
         obs.inc("model.registry.load")
         return ModelArtifact(
             name=name, version=version, document=document, path=path
@@ -323,42 +362,17 @@ class ModelRegistry:
 
     # -- internals -------------------------------------------------------
 
-    def _verify(self, document: dict[str, Any], path: Path) -> None:
-        problems = []
-        if document.get("kind") != ARTIFACT_KIND:
-            problems.append(f"kind is {document.get('kind')!r}")
-        if document.get("schema_version") != ARTIFACT_SCHEMA_VERSION:
-            problems.append(
-                f"schema_version is {document.get('schema_version')!r}"
-            )
-        recorded = document.get("digest")
-        if not problems and recorded != _document_digest(document):
-            problems.append("digest mismatch")
-        if problems:
-            self._quarantine(path)
-            obs.inc("model.registry.integrity_failure")
-            raise ModelIntegrityError(
-                f"artifact {path} failed verification "
-                f"({'; '.join(problems)}); quarantined"
-            )
-
     def _quarantine(self, path: Path) -> None:
-        qdir = self.root / "quarantine"
-        try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            if path.exists():
-                # Keyed by model name too: v000001.json of two different
-                # models must not overwrite each other's corpse.
-                os.replace(path, qdir / f"{path.parent.name}-{path.name}")
-        except OSError:
-            return
-        obs.inc("model.registry.quarantined")
+        # Named by model too: v000001.json of two different models must
+        # not share a corpse name.
+        if safewrite.quarantine(
+            self.root / "quarantine", f"{path.parent.name}-{path.stem}", path
+        ):
+            obs.inc("model.registry.quarantined")
 
     @staticmethod
     def _write_atomic(tmp: Path, dest: Path, payload: bytes) -> None:
         # Raises StorageDegradedError on ENOSPC/EIO — a half-published
         # model is worse than a loud publish failure, so the caller of
         # ``publish`` decides how to degrade.
-        from repro.doctor import safewrite
-
         safewrite.write_atomic(tmp, dest, payload)

@@ -147,6 +147,23 @@ class TestServeResultsStore:
         assert len(corpses) == 1
         assert corpses[0].name.startswith("results-c-000001.json")
 
+    def test_second_repair_keeps_the_first_corpse(self, tmp_path):
+        root = _state_with_result(tmp_path)
+        victim = root / "results" / "c-000001.json"
+        original = victim.read_text()
+        store = ServeResultsStore(root)
+        for answer in ("43", "44"):
+            victim.write_text(original.replace("42", answer))
+            (finding,) = store.repair()
+            assert finding.action == "quarantined"
+        corpses = sorted(
+            p.read_text() for p in (root / "quarantine").iterdir()
+        )
+        assert corpses == [
+            original.replace("42", "43"),
+            original.replace("42", "44"),
+        ]
+
     def test_missing_result_with_done_record_is_a_warning(self, tmp_path):
         root = _state_with_result(tmp_path)
         (root / "results" / "c-000001.json").unlink()

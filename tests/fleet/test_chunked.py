@@ -80,6 +80,17 @@ class TestResultParity:
         with pytest.raises(ConfigurationError):
             FleetRunner(workers=1, chunk_size=0).run(campaign)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_chunk_size_rejected_when_every_job_hits(
+        self, tmp_path, campaign, workers
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        FleetRunner(workers=1, cache=cache).run(campaign)
+        with pytest.raises(ConfigurationError, match="chunk_size"):
+            FleetRunner(workers=workers, chunk_size=0, cache=cache).run(
+                campaign
+            )
+
 
 class TestChunkRetries:
     def test_chunk_member_fault_is_retried_solo(self, campaign):

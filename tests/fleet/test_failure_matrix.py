@@ -6,7 +6,9 @@ a count that is not a power of two for CG, and CG class C, whose
 9156 MB footprint does not fit the server's 7592 MB.  Its results
 digest and its failure set must not depend on the worker count, the
 chunk size, the cache state or observability, and every invalid job
-must fail on its first attempt with its own error type.
+must fail on its first attempt with its own error type.  A transient
+fault on one valid job's first attempt costs that job exactly one retry
+and changes neither the digest nor the failure set.
 """
 
 import itertools
@@ -16,8 +18,10 @@ import pytest
 from repro.fleet import (
     CampaignSpec,
     EventLog,
+    FaultInjection,
     FleetRunner,
     ResultCache,
+    RetryPolicy,
     read_events,
     workload_to_dict,
 )
@@ -88,6 +92,32 @@ def test_every_mode_gives_the_same_bytes_and_failures(
     warm = run(cache)
     assert warm.cache_hits == len(VALID)  # failures are never cached
     assert fingerprint(warm) == reference
+
+
+@pytest.mark.parametrize(
+    "workers, chunk_size", list(itertools.product((1, 2), (1, None)))
+)
+def test_a_transient_fault_is_retried_once_in_every_mode(
+    tmp_path, campaign, reference, workers, chunk_size
+):
+    flaky = "ep.B.4"
+    log_path = tmp_path / "events.jsonl"
+    with EventLog(log_path) as events:
+        outcome = FleetRunner(
+            workers=workers,
+            chunk_size=chunk_size,
+            retry=RetryPolicy(backoff_s=0.0),
+            fault=FaultInjection(flaky, fail_attempts=1),
+            events=events,
+        ).run(campaign)
+    assert fingerprint(outcome) == reference
+    attempts = {r.job.label: r.attempts for r in outcome.records if r.ok}
+    assert attempts == {
+        label: 2 if label == flaky else 1
+        for label in (f"{p}.{c}.{n}" for p, c, n in VALID)
+    }
+    kinds = [record["kind"] for record in read_events(log_path)]
+    assert kinds.count("job_retry") == 1
 
 
 def test_observability_on_changes_nothing(

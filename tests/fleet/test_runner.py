@@ -57,6 +57,18 @@ class TestExecution:
         with pytest.raises(ConfigurationError):
             FleetRunner(workers=1).run_jobs((), "empty")
 
+    def test_inline_interrupt_propagates(self, monkeypatch, campaign):
+        # The inline executor hands an Exception to the loop's fault
+        # barrier, but a KeyboardInterrupt stops the campaign.
+        from repro.fleet import runner
+
+        def interrupted(payloads):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(runner, "execute_chunk", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            FleetRunner(workers=1).run(campaign)
+
 
 class TestCacheIntegration:
     def test_warm_run_hits_every_job(self, tmp_path, campaign):

@@ -136,8 +136,8 @@ class TestIntegrity:
         artifact.path.write_text(json.dumps(document))
         with pytest.raises(ModelIntegrityError, match="digest mismatch"):
             registry.get("xeon-e5462")
-        quarantined = tmp_path / "quarantine" / "xeon-e5462-v000001.json"
-        assert quarantined.exists()
+        quarantine = tmp_path / "quarantine"
+        assert len(list(quarantine.glob("xeon-e5462-v000001.q*.json"))) == 1
         assert not artifact.path.exists()
 
     def test_unreadable_json_quarantines(self, tmp_path, model_e5462):
@@ -164,6 +164,67 @@ class TestIntegrity:
         rows = registry.verify_all()
         assert rows[0][0] == "xeon-e5462"
         assert "failed verification" in rows[0][2]
+
+
+def _rewrite(path, edit):
+    document = json.loads(path.read_text())
+    edit(document)
+    path.write_text(json.dumps(document))
+
+
+#: One way to damage an artifact per problem the decoder names
+#: (``test_unreadable_json_quarantines`` covers text that is not JSON).
+DAMAGE = {
+    "unreadable_artifact": lambda path: path.write_bytes(b"\xff\xfe{"),
+    "malformed_artifact": lambda path: path.write_text("[1, 2]"),
+    "wrong_kind": lambda path: _rewrite(
+        path, lambda d: d.update(kind="x")
+    ),
+    "wrong_schema_version": lambda path: _rewrite(
+        path, lambda d: d.update(schema_version=2)
+    ),
+    "digest_mismatch": lambda path: _rewrite(
+        path, lambda d: d["model"].update(intercept=123.456)
+    ),
+}
+
+
+class TestOneDecoder:
+    """The doctor's audit and ``get`` name every problem alike, and
+    ``get`` quarantines every one of them."""
+
+    @pytest.mark.parametrize("problem", sorted(DAMAGE))
+    def test_problem_is_named_and_quarantined(
+        self, tmp_path, model_e5462, problem
+    ):
+        from repro.doctor.stores import verify_model_artifact
+
+        registry = ModelRegistry(tmp_path)
+        artifact = registry.publish(model_e5462)
+        DAMAGE[problem](artifact.path)
+        assert verify_model_artifact(artifact.path) == problem
+        assert artifact.path.exists()  # the audit moves nothing
+        with pytest.raises(ModelIntegrityError) as raised:
+            registry.get("xeon-e5462")
+        assert raised.value.problem == problem
+        assert not artifact.path.exists()
+        corpses = list((tmp_path / "quarantine").iterdir())
+        assert [p.name.split(".q")[0] for p in corpses] == [
+            "xeon-e5462-v000001"
+        ]
+
+    def test_second_damage_keeps_the_first_corpse(
+        self, tmp_path, model_e5462
+    ):
+        registry = ModelRegistry(tmp_path)
+        artifact = registry.publish(model_e5462)
+        for _event in range(2):
+            artifact.path.write_text("[]")
+            with pytest.raises(ModelIntegrityError):
+                registry.get("xeon-e5462", 1)
+        corpses = list((tmp_path / "quarantine").iterdir())
+        assert len(corpses) == 2
+        assert all(p.read_text() == "[]" for p in corpses)
 
 
 class TestListing:

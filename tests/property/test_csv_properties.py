@@ -1,11 +1,12 @@
 """Property-based tests (hypothesis): the array CSV round trip against
 per-row references.
 
-The writer, the strict reader and the merge in
+The writer, the strict and tolerant readers and the merge in
 :mod:`repro.metering.csvlog` work on numpy chunks.  Each property here
 checks one of them against the per-row code it replaced, kept below as
 the reference: an f-string per row, ``csv.reader`` + ``float()`` per
-row, and a ``heapq.merge`` of row streams.
+row (failing on a bad row, or skipping it), and a ``heapq.merge`` of
+row streams.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from repro.metering import csvlog
 from repro.metering.csvlog import (
     PowerCsvWriter,
     iter_power_csv,
+    CsvReadReport,
     merge_power_csvs,
     read_power_csv,
+    read_power_csv_tolerant,
     write_power_csv,
 )
 
@@ -72,6 +75,36 @@ def reference_read(path: Path) -> "tuple[list[float], list[float]]":
     except UnicodeDecodeError as exc:
         raise MeterError(f"{path}: not a text CSV file ({exc})") from exc
     return times, watts
+
+
+def reference_read_tolerant(path: Path):
+    """The per-row tolerant parser: skip and report every bad row."""
+    times: list[float] = []
+    watts: list[float] = []
+    bad: list[int] = []
+    n_rows = 0
+    with path.open(newline="", errors="replace") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != csvlog.HEADER:
+            raise MeterError(f"{path}: not a power CSV (header {header!r})")
+        for lineno, row in enumerate(reader, start=2):
+            n_rows += 1
+            if len(row) != 2:
+                bad.append(lineno)
+                continue
+            try:
+                t, w = float(row[0]), float(row[1])
+            except ValueError:
+                bad.append(lineno)
+                continue
+            times.append(t)
+            watts.append(w)
+    return (
+        np.asarray(times),
+        np.asarray(watts),
+        CsvReadReport(n_rows=n_rows, n_bad=len(bad), bad_lines=tuple(bad)),
+    )
 
 
 def reference_merge(paths: "list[Path]") -> bytes:
@@ -311,6 +344,53 @@ def test_strict_reader_matches_per_row_parser(
     expected = outcome(reference_read, path)
     assert same(outcome(_chunked_read(chunk_size), path), expected)
     assert same(outcome(read_power_csv, path), expected)
+
+
+def tolerant_outcome(read, path):
+    """``("ok", times, watts, report)`` or ``("error", message)``."""
+    try:
+        times, watts, report = read(path)
+    except MeterError as exc:
+        return ("error", str(exc))
+    return ("ok", times.tolist(), watts.tolist(), report)
+
+
+@SETTINGS
+@given(
+    rows=canonical_rows(),
+    mutation=st.one_of(st.none(), st.sampled_from(MUTATIONS)),
+    where=st.integers(0, 10**6),
+    cut=st.integers(0, 10**6),
+)
+def test_tolerant_reader_matches_per_row_parser(
+    tmp_path, rows, mutation, where, cut
+):
+    path = tmp_path / "t.csv"
+    if mutation is None:
+        path.write_bytes(HEADER_LINE + b"".join(rows))
+    else:
+        path.write_bytes(_mutate(rows, mutation, where, cut))
+    assert tolerant_outcome(read_power_csv_tolerant, path) == tolerant_outcome(
+        reference_read_tolerant, path
+    )
+
+
+def test_tolerant_reader_salvages_past_chunks(tmp_path):
+    # Damage in the third of four chunks: the first two are read as
+    # arrays, the per-row loop takes the rest.
+    times = np.arange(4 * csvlog.DEFAULT_CHUNK_SIZE) * 0.5
+    path = write_power_csv(tmp_path / "d.csv", times, times + 100.0)
+    lines = path.read_bytes().split(b"\r\n")
+    at = 2 * csvlog.DEFAULT_CHUNK_SIZE + 10
+    lines[at] = b"garbage"
+    lines[at + 1] = b"\xff" + lines[at + 1]
+    path.write_bytes(b"\r\n".join(lines))
+    assert tolerant_outcome(read_power_csv_tolerant, path) == tolerant_outcome(
+        reference_read_tolerant, path
+    )
+    _t, _w, report = read_power_csv_tolerant(path)
+    assert report.bad_lines == (at + 1, at + 2)
+    assert report.n_rows == times.size
 
 
 @SETTINGS
