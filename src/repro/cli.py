@@ -1822,34 +1822,35 @@ def _model_predict(args: argparse.Namespace) -> int:
 
 
 def _model_registry(args: argparse.Namespace) -> int:
+    """List (or ``--verify``) every artifact; a damaged one gets a
+    CORRUPT row, is quarantined, and makes the exit status 1."""
+    from repro.errors import ModelRegistryError
     from repro.model import ModelRegistry
 
     registry = ModelRegistry(args.registry)
-    if args.verify:
-        rows = registry.verify_all()
-        if not rows:
-            print(f"no artifacts under {args.registry}")
-            return 0
-        bad = 0
-        for name, version, error in rows:
-            status = "ok" if error is None else f"CORRUPT: {error}"
-            print(f"{name:<24} v{version:06d}  {status}")
-            bad += error is not None
-        return 1 if bad else 0
-    entries = registry.entries()
-    if not entries:
+    versions = [(n, v) for n in registry.names() for v in registry.versions(n)]
+    if not versions:
         print(f"no artifacts under {args.registry}")
         return 0
-    print(
-        f"{'name':<24} {'ver':>7} {'server':<14} {'R^2':>7}  digest"
-    )
-    for artifact in entries:
-        print(
-            f"{artifact.name:<24} v{artifact.version:06d} "
-            f"{artifact.server:<14} {artifact.r_square:>7.4f}  "
-            f"{artifact.digest[:12]}"
-        )
-    return 0
+    if not args.verify:
+        print(f"{'name':<24} {'ver':>7} {'server':<14} {'R^2':>7}  digest")
+    bad = 0
+    for name, version in versions:
+        try:
+            artifact = registry.get(name, version)
+        except ModelRegistryError as exc:
+            print(f"{name:<24} v{version:06d}  CORRUPT: {exc}")
+            bad += 1
+            continue
+        if args.verify:
+            print(f"{name:<24} v{version:06d}  ok")
+        else:
+            print(
+                f"{artifact.name:<24} v{artifact.version:06d} "
+                f"{artifact.server:<14} {artifact.r_square:>7.4f}  "
+                f"{artifact.digest[:12]}"
+            )
+    return 1 if bad else 0
 
 
 def _model_validate(args: argparse.Namespace) -> int:
@@ -1890,11 +1891,10 @@ def _doctor_stores(args: argparse.Namespace) -> list:
     from pathlib import Path
 
     from repro.doctor import (
-        SUBMIT_JOURNAL_KINDS,
         FleetCacheStore,
         JournalStore,
         ModelRegistryStore,
-        ServeResultsStore,
+        serve_state_stores,
     )
 
     stores: list = []
@@ -1904,18 +1904,7 @@ def _doctor_stores(args: argparse.Namespace) -> list:
         root = Path(root)
         if not root.is_dir():
             raise ReproError(f"--serve-state {root}: not a directory")
-        stores.append(FleetCacheStore(root / "cache"))
-        stores.append(ServeResultsStore(root))
-        stores.append(
-            JournalStore(
-                root / "journal.jsonl",
-                name="serve-journal",
-                known_kinds=SUBMIT_JOURNAL_KINDS,
-            )
-        )
-        stores.append(
-            JournalStore(root / "events.jsonl", name="serve-events")
-        )
+        stores.extend(serve_state_stores(root))
     for root in args.registry:
         stores.append(ModelRegistryStore(root))
     for path in args.events:
@@ -2048,13 +2037,10 @@ def _cmd_serve_supervise(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.doctor import (
-        SUBMIT_JOURNAL_KINDS,
-        FleetCacheStore,
-        JournalStore,
         RestartPolicy,
-        ServeResultsStore,
         Supervisor,
         repair_stores,
+        serve_state_stores,
     )
     from repro.fleet.events import EventLog
 
@@ -2083,20 +2069,7 @@ def _cmd_serve_supervise(args: argparse.Namespace) -> int:
     def audit() -> None:
         # Post-crash, pre-restart: sweep torn records and corrupt
         # entries so the child resumes a clean journal.
-        report = repair_stores(
-            [
-                FleetCacheStore(state_root / "cache"),
-                ServeResultsStore(state_root),
-                JournalStore(
-                    state_root / "journal.jsonl",
-                    name="serve-journal",
-                    known_kinds=SUBMIT_JOURNAL_KINDS,
-                ),
-                JournalStore(
-                    state_root / "events.jsonl", name="serve-events"
-                ),
-            ]
-        )
+        report = repair_stores(serve_state_stores(state_root))
         if report.findings:
             print(report.format(), file=sys.stderr)
 

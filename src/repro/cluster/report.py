@@ -11,7 +11,6 @@ shared fields.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any
 
@@ -218,9 +217,9 @@ class ClusterResult:
 
 def rows_digest(rows: "list[dict[str, Any]]") -> str:
     """SHA-256 over canonicalised evaluation-comparable rows."""
-    from repro.fleet.cache import canonical_json
+    from repro.fleet.cache import canonical_digest
 
-    return hashlib.sha256(canonical_json(rows).encode()).hexdigest()
+    return canonical_digest(rows)
 
 
 def evaluation_rows_digest(result: EvaluationResult) -> str:

@@ -396,28 +396,21 @@ def evaluation_jobmix(server_name: str) -> "list[ClusterJob]":
     :func:`repro.core.evaluation.evaluate_server` job for job — the
     differential suite asserts digest equality.
     """
-    from repro.core.evaluation import IDLE_WINDOW_S
+    from repro.core.evaluation import state_workload
     from repro.core.states import evaluation_states
     from repro.hardware.specs import get_server
 
     server = get_server(server_name)
-    jobs = []
-    for state in evaluation_states(server):
-        workload = (
-            ResourceDemand.idle(IDLE_WINDOW_S)
-            if state.is_idle
-            else state.workload
+    return [
+        ClusterJob(
+            name=state.label,
+            workload=workload_to_dict(state_workload(state)),
+            n_nodes=1,
+            submit_s=0.0,
+            server=server.name,
         )
-        jobs.append(
-            ClusterJob(
-                name=state.label,
-                workload=workload_to_dict(workload),
-                n_nodes=1,
-                submit_s=0.0,
-                server=server.name,
-            )
-        )
-    return jobs
+        for state in evaluation_states(server)
+    ]
 
 
 @dataclass(frozen=True)

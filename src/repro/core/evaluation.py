@@ -26,7 +26,13 @@ from repro.errors import ConfigurationError
 from repro.hardware.specs import ServerSpec
 from repro.metering.analysis import DEFAULT_TRIM
 
-__all__ = ["EvaluationRow", "EvaluationResult", "evaluate_server", "rank_servers"]
+__all__ = [
+    "EvaluationRow",
+    "EvaluationResult",
+    "evaluate_server",
+    "rank_servers",
+    "state_workload",
+]
 
 #: Duration of the idle measurement window, seconds.
 IDLE_WINDOW_S: float = 120.0
@@ -96,8 +102,14 @@ class EvaluationResult:
         raise ConfigurationError(f"no row labelled {label!r}")
 
 
-def _state_runnable(state: EvaluationState):
-    """The object the simulator executes for one state."""
+def state_workload(state: EvaluationState):
+    """What the simulator runs for one state: the state's workload, or
+    an :data:`IDLE_WINDOW_S` idle window for the idle state.
+
+    The one rule behind :func:`evaluate_server`, the fleet's evaluation
+    matrix, the serve daemon's evaluate campaigns and the cluster's
+    evaluation job mix, so all of them run the same ten jobs.
+    """
     if state.is_idle:
         return ResourceDemand.idle(IDLE_WINDOW_S)
     return state.workload
@@ -170,7 +182,7 @@ def evaluate_server(
         raise ConfigurationError("simulator is bound to a different server")
     if states is None:
         states = evaluation_states(server)
-    items = [_state_runnable(state) for state in states]
+    items = [state_workload(state) for state in states]
     if backend is not None:
         runs = backend.map_runs(simulator, items)
     else:

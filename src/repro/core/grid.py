@@ -18,7 +18,6 @@ a property the differential suite pins via :func:`evaluation_digest`.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -44,12 +43,6 @@ __all__ = [
 ]
 
 
-def _canonical_digest(document: Any) -> str:
-    from repro.fleet.cache import canonical_json
-
-    return hashlib.sha256(canonical_json(document).encode()).hexdigest()
-
-
 def evaluation_digest(result: EvaluationResult) -> str:
     """SHA-256 over the canonical JSON form of an evaluation result.
 
@@ -57,7 +50,9 @@ def evaluation_digest(result: EvaluationResult) -> str:
     *digest-identical* iff every row (label, gflops, watts, memory, and
     duration) matches bit for bit.
     """
-    return _canonical_digest(evaluation_to_dict(result))
+    from repro.fleet.cache import canonical_digest
+
+    return canonical_digest(evaluation_to_dict(result))
 
 
 @dataclass(frozen=True)
@@ -163,7 +158,9 @@ class GridEvaluation:
     @property
     def digest(self) -> str:
         """SHA-256 over every cell digest, in P-state order."""
-        return _canonical_digest([c.digest for c in self.cells])
+        from repro.fleet.cache import canonical_digest
+
+        return canonical_digest([c.digest for c in self.cells])
 
     def cell(self, pstate: int) -> GridCell:
         """Look up the cell for one P-state."""

@@ -48,6 +48,7 @@ __all__ = [
     "gc_stores",
     "repair_stores",
     "serve_pins",
+    "serve_state_stores",
     "submission_cache_keys",
     "verify_cache_entry",
     "verify_model_artifact",
@@ -74,6 +75,7 @@ _STORES = {
     "ServeResultsStore",
     "StoreAdapter",
     "StoreEntry",
+    "serve_state_stores",
     "verify_cache_entry",
     "verify_model_artifact",
 }

@@ -316,46 +316,15 @@ def submission_cache_keys(
 ) -> "set[str]":
     """The fleet-cache keys one submission's execution will touch.
 
-    Mirrors exactly how the scheduler turns a submission into jobs —
-    ``evaluate`` expands to the ten-state matrix on the default compact
-    placement, ``fleet`` to the campaign's own job list — so a pin
-    computed here names precisely the entries a resumed campaign will
-    ask the cache for.
+    The keys of :func:`repro.serve.protocol.submission_jobs`, the job
+    list the scheduler itself runs, so a pin names precisely the
+    entries a resumed campaign will ask the cache for.  An unknown kind
+    raises :class:`~repro.errors.ConfigurationError`.
     """
-    from repro.core.evaluation import _state_runnable
-    from repro.core.states import evaluation_states
-    from repro.engine.simulator import DEFAULT_PLACEMENT_POLICY
-    from repro.errors import WorkloadError
     from repro.fleet.cache import job_cache_key
-    from repro.fleet.spec import campaign_from_dict, make_job
-    from repro.hardware.zoo import resolve_server
-    from repro.workloads.base import Workload
+    from repro.serve.protocol import submission_jobs
 
-    keys: set[str] = set()
-    if kind == "fleet":
-        campaign = campaign_from_dict(spec)
-        for job in campaign.jobs():
-            keys.add(job_cache_key(job))
-        return keys
-    if kind != "evaluate":
-        return keys
-    server = resolve_server(spec["server"])
-    seed = int(spec.get("seed", 0))
-    # The scheduler builds its evaluate simulator with the default
-    # placement (`Simulator(server, seed=seed)`), so the same public
-    # default names exactly the cache keys the resumed campaign will
-    # look up.
-    placement = DEFAULT_PLACEMENT_POLICY
-    for state in evaluation_states(server):
-        runnable = _state_runnable(state)
-        if isinstance(runnable, Workload):
-            try:
-                runnable.bind(server)
-            except WorkloadError:
-                continue
-        job = make_job(server, runnable, seed, placement)
-        keys.add(job_cache_key(job))
-    return keys
+    return {job_cache_key(job) for job in submission_jobs(kind, spec)}
 
 
 def serve_pins(state_root: "str | Path") -> ServePins:

@@ -26,7 +26,6 @@ remove.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass
@@ -45,7 +44,7 @@ from repro.errors import JournalBusyError, ModelIntegrityError
 from repro.fleet.cache import (
     CacheEntryError,
     ResultCache,
-    canonical_json,
+    canonical_digest,
     read_entry,
 )
 from repro.fleet.events import EVENT_KINDS
@@ -59,6 +58,7 @@ __all__ = [
     "ModelRegistryStore",
     "JournalStore",
     "SUBMIT_JOURNAL_KINDS",
+    "serve_state_stores",
     "verify_cache_entry",
     "verify_model_artifact",
 ]
@@ -384,10 +384,7 @@ class ServeResultsStore(StoreAdapter):
             if record is None:
                 continue
             recorded = record.get("document_digest") or record["digest"]
-            actual = hashlib.sha256(
-                canonical_json(document).encode()
-            ).hexdigest()
-            if actual == recorded:
+            if canonical_digest(document) == recorded:
                 continue
             # A fleet record journaled before ``document_digest`` existed
             # holds only the results digest its document embeds: such a
@@ -720,6 +717,22 @@ class JournalStore(StoreAdapter):
         return _sweep_tmp(
             self.path.parent, f"{self.path.stem}.tmp*"
         )
+
+
+def serve_state_stores(root: "str | Path") -> list[StoreAdapter]:
+    """The four stores of one serve state directory: its fleet cache,
+    result documents, submit journal and event journal."""
+    root = Path(root)
+    return [
+        FleetCacheStore(root / "cache"),
+        ServeResultsStore(root),
+        JournalStore(
+            root / "journal.jsonl",
+            name="serve-journal",
+            known_kinds=SUBMIT_JOURNAL_KINDS,
+        ),
+        JournalStore(root / "events.jsonl", name="serve-events"),
+    ]
 
 
 def iter_stores(stores: "Iterable[StoreAdapter]") -> list[StoreAdapter]:

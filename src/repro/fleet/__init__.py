@@ -26,6 +26,7 @@ from repro.fleet.backend import FleetBackend
 from repro.fleet.cache import (
     CACHE_SALT,
     ResultCache,
+    canonical_digest,
     canonical_json,
     job_cache_key,
 )
@@ -50,6 +51,7 @@ from repro.fleet.runner import (
 from repro.fleet.spec import (
     CampaignSpec,
     FleetJob,
+    bind_jobs,
     campaign_from_dict,
     campaign_to_dict,
     demo_campaign,
@@ -80,8 +82,10 @@ __all__ = [
     "ResultCache",
     "RetryPolicy",
     "auto_chunk_size",
+    "bind_jobs",
     "campaign_from_dict",
     "campaign_to_dict",
+    "canonical_digest",
     "canonical_json",
     "completed_job_ids",
     "default_workers",

@@ -30,7 +30,7 @@ from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.fleet.cache import ResultCache
 from repro.fleet.events import EventLog
 from repro.fleet.runner import FleetRunner, RetryPolicy
-from repro.fleet.spec import FleetJob, make_job
+from repro.fleet.spec import FleetJob, bind_jobs
 from repro.fleet.worker import FaultInjection
 from repro.metering.meter import WT210
 from repro.workloads.base import Workload
@@ -96,45 +96,34 @@ class FleetBackend:
                 "the fleet backend reconstructs simulators in worker "
                 "processes and supports only the default WT210 meter"
             )
-        placement = simulator.placement_policy
-        results: "list[RunResult | WorkloadError | None]" = [None] * len(
-            workloads
+        bound = bind_jobs(
+            simulator.server,
+            workloads,
+            simulator.seed,
+            simulator.placement_policy,
         )
-        jobs: dict[str, FleetJob] = {}
-        slot_job: "list[str | None]" = [None] * len(workloads)
-        for i, workload in enumerate(workloads):
-            if isinstance(workload, Workload):
-                try:
-                    workload.bind(simulator.server)
-                except WorkloadError as exc:
-                    results[i] = exc
-                    continue
-            job = make_job(
-                simulator.server, workload, simulator.seed, placement
+        # Equal ids mean equal work: a revisited configuration runs once.
+        jobs = {e.job_id: e for e in bound if isinstance(e, FleetJob)}
+        if not jobs:
+            return bound  # type: ignore[return-value]
+        outcome = self._runner().run_jobs(
+            tuple(jobs.values()),
+            name=self.name or f"backend:{simulator.server.name}",
+        )
+        if self.on_outcome is not None:
+            self.on_outcome(outcome)
+        if not outcome.ok and self.strict:
+            failed = ", ".join(f.job_id for f in outcome.failures)
+            raise SimulationError(f"fleet backend could not complete: {failed}")
+        by_id: "dict[str, RunResult | SimulationError]" = {
+            f.job_id: SimulationError(
+                f"fleet job {f.job_id} failed after {f.attempts} "
+                f"attempts: {f.error}"
             )
-            jobs.setdefault(job.job_id, job)
-            slot_job[i] = job.job_id
-        if jobs:
-            outcome = self._runner().run_jobs(
-                tuple(jobs.values()),
-                name=self.name or f"backend:{simulator.server.name}",
-            )
-            if self.on_outcome is not None:
-                self.on_outcome(outcome)
-            if not outcome.ok and self.strict:
-                failed = ", ".join(f.job_id for f in outcome.failures)
-                raise SimulationError(
-                    f"fleet backend could not complete: {failed}"
-                )
-            by_id = outcome.results()
-            errors = {
-                f.job_id: SimulationError(
-                    f"fleet job {f.job_id} failed after {f.attempts} "
-                    f"attempts: {f.error}"
-                )
-                for f in outcome.failures
-            }
-            for i, job_id in enumerate(slot_job):
-                if job_id is not None:
-                    results[i] = by_id.get(job_id) or errors[job_id]
-        return results  # type: ignore[return-value]
+            for f in outcome.failures
+        }
+        by_id.update(outcome.results())
+        return [
+            by_id[entry.job_id] if isinstance(entry, FleetJob) else entry
+            for entry in bound
+        ]

@@ -53,6 +53,7 @@ from repro.fleet.spec import FleetJob
 __all__ = [
     "CACHE_SALT",
     "CacheEntryError",
+    "canonical_digest",
     "canonical_json",
     "job_cache_key",
     "read_entry",
@@ -101,6 +102,12 @@ def canonical_json(document: Any) -> str:
     )
 
 
+def canonical_digest(document: Any) -> str:
+    """SHA-256 (hex) of :func:`canonical_json` — the one content digest
+    behind cache keys, results and document digests, and dedup keys."""
+    return hashlib.sha256(canonical_json(document).encode()).hexdigest()
+
+
 def job_cache_key(job: FleetJob) -> str:
     """SHA-256 cache key of one fleet job."""
     from repro import io as repro_io
@@ -112,7 +119,7 @@ def job_cache_key(job: FleetJob) -> str:
         "seed": job.seed,
         "placement": job.placement,
     }
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    return canonical_digest(payload)
 
 
 def _demand_to_dict(demand: ResourceDemand) -> dict[str, Any]:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.engine.trace import RunResult
 from repro.errors import ConfigurationError, JobTimeoutError, WorkloadError
-from repro.fleet.cache import ResultCache, job_cache_key
+from repro.fleet.cache import ResultCache, canonical_digest, job_cache_key
 from repro.fleet.events import EventLog
 from repro.fleet.spec import CampaignSpec, FleetJob
 from repro.fleet.worker import (
@@ -245,8 +245,6 @@ class FleetOutcome:
         one piece or killed and resumed; the kill-and-resume CI test
         asserts exactly this.
         """
-        from repro.fleet.cache import canonical_json
-
         rows: list[dict] = []
         for r in self.records:
             if r.result is None:
@@ -263,7 +261,7 @@ class FleetOutcome:
                     "energy_kj": run.energy_kilojoules(),
                 }
             )
-        return hashlib.sha256(canonical_json(rows).encode()).hexdigest()
+        return canonical_digest(rows)
 
     def run_for(self, server: str, label: str) -> RunResult:
         """Look up one run by server name and job label."""
@@ -303,15 +301,19 @@ class _InlineExecutor:
         """Nothing to release: no process ever started."""
 
 
-def _executor(workers: int) -> "ProcessPoolExecutor | _InlineExecutor":
-    """A campaign's executor: inline for ``workers <= 1``, else a pool
-    that forks where it can (cheap workers that inherit the imported
-    simulator) and uses the platform default otherwise."""
-    if workers <= 1:
+def _executor(
+    workers: int, timeout_s: "float | None"
+) -> "ProcessPoolExecutor | _InlineExecutor":
+    """A campaign's executor: inline for ``workers <= 1`` with no
+    timeout, else a pool that forks where it can (cheap workers that
+    inherit the imported simulator) and uses the platform default
+    otherwise.  A timeout needs a process the watchdog can kill, so one
+    worker with a timeout gets a one-process pool."""
+    if workers <= 1 and timeout_s is None:
         return _InlineExecutor()
     fork = "fork" in multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork") if fork else None
-    return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+    return ProcessPoolExecutor(max_workers=max(1, workers), mp_context=ctx)
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -338,7 +340,7 @@ class FleetRunner:
     workers:
         Pool size; ``None`` for :func:`default_workers`.  ``1`` runs
         jobs inline, in this process and through the same dispatch loop
-        (no pool) — the serial baseline.
+        (no pool) — the serial baseline — unless ``timeout_s`` is set.
     cache:
         Optional :class:`~repro.fleet.cache.ResultCache`; ``None``
         disables caching.
@@ -362,9 +364,9 @@ class FleetRunner:
         length (members run serially in the worker).  On expiry the
         pool is killed and replaced, innocent in-flight work re-runs at
         the same attempt, and the overdue job is charged one attempt —
-        so a hung worker costs seconds, not the campaign.  Inline runs
-        (``workers=1``) ignore it: an in-process call has returned
-        before its deadline could be checked.
+        so a hung worker costs seconds, not the campaign.  With
+        ``workers=1`` a timeout runs the campaign in a one-process pool
+        rather than inline: an in-process call cannot be interrupted.
     max_pool_replacements:
         How many times a campaign may rebuild its pool after crashes or
         hangs before the remaining jobs are failed outright.  Bounds
@@ -491,13 +493,14 @@ class FleetRunner:
         """The one dispatch loop: retries, watchdog, pool replacement.
 
         Units go to :func:`_executor`'s executor: a process pool, or for
-        ``workers <= 1`` an inline one that runs each unit in this
-        process as it is submitted.  With ``chunk_size > 1`` the first
-        attempt of every job travels in a chunk (one pickle round-trip
-        per ``chunk_size`` jobs); failed entries are resubmitted as
-        single jobs so retries stay per-job.  Every failed attempt goes
-        through ``charge``, the one place the retry policy is asked; a
-        retried attempt queues behind the units already queued.
+        ``workers <= 1`` without a timeout an inline one that runs each
+        unit in this process as it is submitted.  With ``chunk_size >
+        1`` the first attempt of every job travels in a chunk (one
+        pickle round-trip per ``chunk_size`` jobs); failed entries are
+        resubmitted as single jobs so retries stay per-job.  Every
+        failed attempt goes through ``charge``, the one place the retry
+        policy is asked; a retried attempt queues behind the units
+        already queued.
 
         A crashed worker (``BrokenProcessPool``) or an overdue job
         (``timeout_s``) kills and rebuilds the pool: the culprit unit is
@@ -505,10 +508,9 @@ class FleetRunner:
         attempt (safe — results are deterministic), and after
         ``max_pool_replacements`` rebuilds whatever remains is failed
         rather than looping on a persistently broken fleet.  Neither can
-        happen inline: an inline unit has returned before its deadline
-        is set.
+        happen inline, which runs only without a timeout.
         """
-        pool = _executor(workers)
+        pool = _executor(workers, self.timeout_s)
         replacements = 0
         futures: dict[Future, dict] = {}
         # Our own dispatch queue (vs. the executor's): kept shallow so a
@@ -583,7 +585,7 @@ class FleetRunner:
             self._emit(
                 "pool_replaced", campaign=name, reason=reason, count=replacements
             )
-            pool = _executor(workers)
+            pool = _executor(workers, self.timeout_s)
             return True
 
         def settle(units: "list[dict]", reason: str, alive: bool) -> None:

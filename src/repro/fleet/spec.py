@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.demand import ResourceDemand
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkloadError
 from repro.hardware.specs import BUILTIN_SERVERS, ServerSpec, get_server
 from repro.workloads.base import Workload
 from repro.workloads.hpl import HplConfig, HplWorkload
@@ -37,6 +37,7 @@ __all__ = [
     "workload_from_dict",
     "workload_label",
     "make_job",
+    "bind_jobs",
     "campaign_to_dict",
     "campaign_from_dict",
     "demo_campaign",
@@ -185,6 +186,27 @@ def make_job(
     )
 
 
+def bind_jobs(
+    server: ServerSpec,
+    workloads: "list[Workload | ResourceDemand]",
+    seed: int,
+    placement: str,
+) -> "list[FleetJob | WorkloadError]":
+    """One entry per workload, in order: its :class:`FleetJob`, or the
+    :class:`~repro.errors.WorkloadError` its ``bind`` raised on
+    ``server`` (e.g. a configuration larger than the server's memory)."""
+    out: "list[FleetJob | WorkloadError]" = []
+    for workload in workloads:
+        if isinstance(workload, Workload):
+            try:
+                workload.bind(server)
+            except WorkloadError as exc:
+                out.append(exc)
+                continue
+        out.append(make_job(server, workload, seed, placement))
+    return out
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
     """A batch of (server x workload) evaluation jobs under one seed.
@@ -211,25 +233,19 @@ class CampaignSpec:
 
     def jobs(self) -> tuple[FleetJob, ...]:
         """Expand the spec into the concrete job list, in stable order."""
-        # Late import: core.states imports workloads, not fleet, but
+        # Late import: core.evaluation imports the engine, not fleet, but
         # importing it lazily keeps fleet.spec importable from anywhere.
-        from repro.core.evaluation import IDLE_WINDOW_S
+        from repro.core.evaluation import state_workload
         from repro.core.states import evaluation_states
 
         out: list[FleetJob] = []
         for server in self.servers:
             if self.evaluation_matrix:
+                # Workload labels coincide with the table labels
+                # ("ep.C.4", "HPL P4 Mf"), so rows keep their names.
                 for state in evaluation_states(server):
-                    workload = (
-                        ResourceDemand.idle(IDLE_WINDOW_S)
-                        if state.is_idle
-                        else state.workload
-                    )
-                    # Workload labels coincide with the table labels
-                    # ("ep.C.4", "HPL P4 Mf"), so rows keep their names.
-                    out.append(
-                        make_job(server, workload, self.seed, self.placement)
-                    )
+                    workload = state_workload(state)
+                    out.append(make_job(server, workload, self.seed, self.placement))
             for data in self.workloads:
                 workload = workload_from_dict(data)
                 out.append(

@@ -38,7 +38,6 @@ silently corrupted model.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -52,7 +51,7 @@ from repro import obs
 from repro.core.regression import PowerRegressionModel, RegressionDataset
 from repro.doctor import safewrite
 from repro.errors import ModelIntegrityError, ModelRegistryError
-from repro.fleet.cache import canonical_json
+from repro.fleet.cache import canonical_digest
 from repro.hardware.pmu import REGRESSION_FEATURES
 
 __all__ = [
@@ -119,7 +118,7 @@ def training_metadata(
 
 def _document_digest(document: dict[str, Any]) -> str:
     body = {k: v for k, v in document.items() if k != "digest"}
-    return hashlib.sha256(canonical_json(body).encode()).hexdigest()
+    return canonical_digest(body)
 
 
 def read_artifact(path: Path) -> dict[str, Any]:
@@ -344,9 +343,7 @@ class ModelRegistry:
         }
         if server_spec is not None:
             document["server_spec"] = server_spec
-        document["model_digest"] = hashlib.sha256(
-            canonical_json(document["model"]).encode()
-        ).hexdigest()
+        document["model_digest"] = canonical_digest(document["model"])
         document["digest"] = _document_digest(document)
         directory.mkdir(parents=True, exist_ok=True)
         path = self._path(name, version)

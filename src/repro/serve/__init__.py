@@ -42,6 +42,7 @@ from repro.serve.protocol import (
     Submission,
     parse_submission,
     submission_content_key,
+    submission_jobs,
 )
 from repro.serve.queues import Admission, QueuePolicy, TenantQueues
 from repro.serve.scheduler import CampaignState, ServeScheduler
@@ -64,4 +65,5 @@ __all__ = [
     "TenantQueues",
     "parse_submission",
     "submission_content_key",
+    "submission_jobs",
 ]

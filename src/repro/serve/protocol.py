@@ -49,6 +49,7 @@ __all__ = [
     "stream_head",
     "parse_submission",
     "submission_content_key",
+    "submission_jobs",
 ]
 
 #: Hard request-body cap; a campaign spec is a few KB, so 8 MB is
@@ -331,9 +332,35 @@ def submission_content_key(submission: Submission) -> str:
     Tenant and priority are deliberately excluded: two tenants asking
     for the same work share one execution.
     """
-    import hashlib
+    from repro.fleet.cache import canonical_digest
 
-    from repro.fleet.cache import canonical_json
+    return canonical_digest({"kind": submission.kind, "spec": submission.spec})
 
-    payload = {"kind": submission.kind, "spec": submission.spec}
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+def submission_jobs(kind: str, spec: "dict[str, Any]") -> tuple:
+    """The fleet jobs one submission runs, in order.
+
+    ``fleet`` is the campaign's own job list.  ``evaluate`` is one job
+    per evaluation state the server can run, at the default placement:
+    exactly the jobs :class:`~repro.fleet.FleetBackend` makes for
+    ``evaluate_server(server, Simulator(server, seed=seed))``.  The
+    scheduler sheds from this list, and ``repro doctor`` pins its cache
+    keys, so an eviction never takes what a pending campaign will read.
+    """
+    from repro.fleet.spec import FleetJob, bind_jobs, campaign_from_dict
+
+    if kind == "fleet":
+        return campaign_from_dict(spec).jobs()
+    if kind != "evaluate":
+        raise ConfigurationError(f"unknown submission kind {kind!r}")
+    from repro.core.evaluation import state_workload
+    from repro.core.states import evaluation_states
+    from repro.engine.simulator import DEFAULT_PLACEMENT_POLICY
+    from repro.hardware.zoo import resolve_server
+
+    server = resolve_server(spec["server"])
+    workloads = [state_workload(state) for state in evaluation_states(server)]
+    bound = bind_jobs(
+        server, workloads, int(spec.get("seed", 0)), DEFAULT_PLACEMENT_POLICY
+    )
+    return tuple(job for job in bound if isinstance(job, FleetJob))

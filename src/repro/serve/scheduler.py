@@ -33,6 +33,7 @@ job results live in the shared cache.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from typing import Any
@@ -40,26 +41,24 @@ from typing import Any
 from repro import io as repro_io
 from repro import obs
 from repro.core.evaluation import evaluate_server
-from repro.demand import ResourceDemand
+from repro.core.states import evaluation_states
 from repro.engine.simulator import Simulator
 from repro.engine.trace import RunResult
-from repro.errors import (
-    ReproError,
-    SimulationError,
-    StorageDegradedError,
-    WorkloadError,
-)
+from repro.errors import ReproError, StorageDegradedError
 from repro.fleet.backend import FleetBackend
-from repro.fleet.cache import ResultCache, canonical_json, job_cache_key
+from repro.fleet.cache import ResultCache, canonical_digest, job_cache_key
 from repro.fleet.events import EventLog
 from repro.fleet.runner import FleetRunner, RetryPolicy
-from repro.fleet.spec import campaign_from_dict, make_job
+from repro.fleet.spec import FleetJob
 from repro.hardware.zoo import resolve_server
 from repro.metering.analysis import DEFAULT_TRIM, extract_window, trimmed_stats
-from repro.serve.protocol import Submission, submission_content_key
+from repro.serve.protocol import (
+    Submission,
+    submission_content_key,
+    submission_jobs,
+)
 from repro.serve.queues import QueuePolicy, TenantQueues
 from repro.serve.state import StateStore
-from repro.workloads.base import Workload
 
 __all__ = ["CampaignState", "ServeScheduler", "SubmitOutcome"]
 
@@ -194,10 +193,13 @@ class ServeScheduler:
 
         Returns the number of resumed campaigns.
         """
-        pending, self._next_id = self.state.replay()
+        pending, next_id = self.state.replay()
         resumed = 0
         with self._cond:
+            self._next_id = max(self._next_id, next_id)
             for item in pending:
+                if item.campaign_id in self._records:
+                    continue  # submitted in this process before start()
                 record = CampaignState(
                     item.campaign_id,
                     item.submission,
@@ -453,9 +455,7 @@ class ServeScheduler:
                     campaign=campaign_id,
                     kind=record.submission.kind,
                 ):
-                    document, digest, partial = self._execute(
-                        record, self.cache, shed
-                    )
+                    document, digest, partial = self._execute(record, shed)
                 self._finish(record, document, digest, partial)
             except StorageDegradedError as exc:
                 self._degrade(record, str(exc))
@@ -474,53 +474,84 @@ class ServeScheduler:
         soft = max(1, int(policy.max_pending * policy.shed_fraction))
         return self.queues.pending >= soft
 
+    def _shed(
+        self, jobs: "tuple[FleetJob, ...]"
+    ) -> "tuple[tuple[FleetJob, ...], tuple[FleetJob, ...]]":
+        """The one shed rule: which jobs a campaign runs under a backlog.
+
+        Cached jobs are free and always kept; of the uncached ones, the
+        first ``shed_job_budget`` in job order are kept and the rest are
+        skipped.  Each job costs one ``ResultCache.get`` of its own key,
+        never a scan of the cache.  Returns ``(kept, skipped)``.
+        """
+        kept: "list[FleetJob]" = []
+        skipped: "list[FleetJob]" = []
+        uncached = 0
+        for job in jobs:
+            if self.cache.get(job_cache_key(job)) is None:
+                uncached += 1
+                if uncached > self.shed_job_budget:
+                    skipped.append(job)
+                    continue
+            kept.append(job)
+        return tuple(kept), tuple(skipped)
+
     def _execute(
-        self, record: CampaignState, cache: ResultCache, shed: bool
+        self, record: CampaignState, shed: bool
     ) -> "tuple[dict[str, Any], str, bool]":
-        submission = record.submission
-        if submission.kind == "evaluate":
-            return self._execute_evaluate(record, cache, shed)
-        return self._execute_fleet(record, cache, shed)
+        if record.submission.kind == "evaluate":
+            return self._execute_evaluate(record, shed)
+        return self._execute_fleet(record, shed)
 
     def _execute_evaluate(
-        self, record: CampaignState, cache: ResultCache, shed: bool
+        self, record: CampaignState, shed: bool
     ) -> "tuple[dict[str, Any], str, bool]":
+        """The paper's method on one server, through the shared cache.
+
+        Shed, it measures only the states whose job was kept, and
+        ``missing`` names every state without a row, in state order.
+        """
         spec = record.submission.spec
         server = resolve_server(spec["server"])
-        simulator = Simulator(server, seed=int(spec.get("seed", 0)))
+        states = evaluation_states(server)
+        measured = states
+        if shed:
+            _kept, skipped = self._shed(submission_jobs("evaluate", spec))
+            # A job carries its state's table label ("ep.C.4", "Idle").
+            skipped_labels = {job.label for job in skipped}
+            measured = [s for s in states if s.label not in skipped_labels]
         outcomes: "list[Any]" = []
-        backend_cls = _ShedBackend if shed else FleetBackend
-        backend = backend_cls(
+        backend = FleetBackend(
             workers=self.fleet_workers,
-            cache=cache,
+            cache=self.cache,
             events=self.events,
             retry=self.retry,
             strict=not shed,
             on_outcome=outcomes.append,
             name=record.campaign_id,
         )
-        if shed:
-            backend.budget = self.shed_job_budget
         result = evaluate_server(
             server,
-            simulator,
+            Simulator(server, seed=int(spec.get("seed", 0))),
             backend=backend,
             allow_partial=shed,
+            states=measured,
             on_run=lambda state, run: self._stream_window(record, state, run),
         )
-        partial = bool(result.missing)
+        rows = {row.label for row in result.rows}
+        missing = tuple(s.label for s in states if s.label not in rows)
+        partial = bool(missing)
         if partial:
+            result = dataclasses.replace(result, missing=missing)
             self.events.emit(
                 "serve_shed",
                 campaign=record.campaign_id,
-                missing=list(result.missing),
+                missing=list(missing),
             )
         document = repro_io.evaluation_to_dict(result)
-        for outcome in outcomes:
-            with self._cond:
-                self.counters["deduped_jobs"] += outcome.cache_hits
-        digest = _document_digest(document)
-        return document, digest, partial
+        with self._cond:
+            self.counters["deduped_jobs"] += sum(o.cache_hits for o in outcomes)
+        return document, canonical_digest(document), partial
 
     def _stream_window(
         self, record: CampaignState, state: Any, run: RunResult
@@ -556,30 +587,16 @@ class ServeScheduler:
             obs.inc("serve.stream.errors")
 
     def _execute_fleet(
-        self, record: CampaignState, cache: ResultCache, shed: bool
+        self, record: CampaignState, shed: bool
     ) -> "tuple[dict[str, Any], str, bool]":
-        campaign = campaign_from_dict(record.submission.spec)
-        jobs = campaign.jobs()
-        skipped: "list[str]" = []
+        spec = record.submission.spec
+        jobs = submission_jobs("fleet", spec)
+        skipped: "tuple[FleetJob, ...]" = ()
         if shed:
-            kept = []
-            uncached = 0
-            for job in jobs:
-                if cache.get(job_cache_key(job)) is not None:
-                    kept.append(job)  # cached jobs are free under load
-                    continue
-                uncached += 1
-                if uncached <= self.shed_job_budget:
-                    kept.append(job)
-                else:
-                    skipped.append(job.job_id)
-            if kept:
-                jobs = tuple(kept)
-            else:
-                skipped = []  # nothing runnable would remain: run all
+            jobs, skipped = self._shed(jobs)
         runner = FleetRunner(
             workers=self.fleet_workers,
-            cache=cache,
+            cache=self.cache,
             events=self.events,
             retry=self.retry,
         )
@@ -591,20 +608,43 @@ class ServeScheduler:
             self.events.emit(
                 "serve_shed",
                 campaign=record.campaign_id,
-                skipped=skipped,
+                skipped=[job.job_id for job in skipped],
             )
-        report = outcome.report()
         document: dict[str, Any] = {
             "kind": "fleet-outcome",
-            "campaign": campaign.name,
+            "campaign": spec["name"],
             "digest": outcome.results_digest(),
-            "report": report.to_dict(),
+            "report": outcome.report().to_dict(),
             "failures": [f.job_id for f in outcome.failures],
         }
         if partial:
             document["partial"] = True
-            document["skipped"] = sorted(skipped)
+            document["skipped"] = sorted(job.job_id for job in skipped)
         return document, outcome.results_digest(), partial
+
+    # -- settling -------------------------------------------------------
+
+    def _release(self, record: CampaignState) -> "list[str]":
+        """Take a primary off the running set and the dedup index, so no
+        new follower attaches; returns its followers (lock held)."""
+        self._running_ids.discard(record.campaign_id)
+        if self._active_keys.get(record.content_key) == record.campaign_id:
+            del self._active_keys[record.content_key]
+        return list(record.followers)
+
+    def _retire(
+        self, campaign_id: str, status: str, counter: str, **fields: Any
+    ) -> None:
+        """Give one campaign its terminal status and ``fields``, count
+        ``counter``, and apply retention (lock held)."""
+        record = self._records.get(campaign_id)
+        if record is not None:
+            record.status = status
+            for name, value in fields.items():
+                setattr(record, name, value)
+            record.finished_ts = time.time()
+        self.counters[counter] += 1
+        self._retain_done(campaign_id)
 
     def _finish(
         self,
@@ -613,54 +653,36 @@ class ServeScheduler:
         digest: str,
         partial: bool,
     ) -> None:
-        document_digest = _document_digest(document)
+        document_digest = canonical_digest(document)
+        done = dict(digest=digest, partial=partial)
         self.state.save_result(record.campaign_id, document)
         self.state.journal_done(
-            record.campaign_id,
-            "done",
-            digest=digest,
-            partial=partial,
-            document_digest=document_digest,
+            record.campaign_id, "done", document_digest=document_digest, **done
         )
         with self._cond:
-            followers = list(record.followers)
-            record.status = "done"
-            record.digest = digest
-            record.partial = partial
-            record.finished_ts = time.time()
-            self._running_ids.discard(record.campaign_id)
-            if self._active_keys.get(record.content_key) == (
-                record.campaign_id
-            ):
-                del self._active_keys[record.content_key]
-            self.counters["completed"] += 1
-            self._retain_done(record.campaign_id)
+            followers = self._release(record)
+            self._retire(record.campaign_id, "done", "completed", **done)
         # Followers receive a byte-identical copy of the result.
         for follower_id in followers:
             try:
                 self.state.save_result(follower_id, document)
                 self.state.journal_done(
-                    follower_id,
-                    "done",
-                    digest=digest,
-                    partial=partial,
-                    document_digest=document_digest,
+                    follower_id, "done", document_digest=document_digest, **done
                 )
             except StorageDegradedError as exc:
                 # The primary is durable; this follower stays pending
                 # in the journal and a restart re-serves it from the
                 # warm cache.  Mark it degraded in memory only.
-                self._mark_degraded(follower_id, str(exc))
+                with self._cond:
+                    self._retire(
+                        follower_id,
+                        "degraded",
+                        "storage_degraded",
+                        error=f"storage_degraded: {exc}",
+                    )
                 continue
             with self._cond:
-                follower = self._records.get(follower_id)
-                if follower is not None:
-                    follower.status = "done"
-                    follower.digest = digest
-                    follower.partial = partial
-                    follower.finished_ts = time.time()
-                self.counters["completed"] += 1
-                self._retain_done(follower_id)
+                self._retire(follower_id, "done", "completed", **done)
             self.events.emit(
                 "serve_finish",
                 campaign=follower_id,
@@ -682,25 +704,17 @@ class ServeScheduler:
         stays pending in the journal, so a restarted daemon re-executes
         it — bit-identically, because whatever job results did land
         live in the content-addressed cache.  In memory the campaign
-        reports ``degraded`` (not ``failed``) with a
+        and its followers report ``degraded`` (not ``failed``) with a
         ``storage_degraded`` error, so live status queries can tell a
         retried-on-restart episode from a permanent failure.
         """
         detail = f"storage_degraded: {error}"
         with self._cond:
-            followers = list(record.followers)
-            record.status = "degraded"
-            record.error = detail
-            record.finished_ts = time.time()
-            self._running_ids.discard(record.campaign_id)
-            if self._active_keys.get(record.content_key) == (
-                record.campaign_id
-            ):
-                del self._active_keys[record.content_key]
-            self.counters["storage_degraded"] += 1
-            self._retain_done(record.campaign_id)
-        for follower_id in followers:
-            self._mark_degraded(follower_id, error)
+            followers = self._release(record)
+            for campaign_id in (record.campaign_id, *followers):
+                self._retire(
+                    campaign_id, "degraded", "storage_degraded", error=detail
+                )
         # Best-effort: the event log degrades independently when the
         # same disk is full.
         self.events.emit(
@@ -712,17 +726,6 @@ class ServeScheduler:
         obs.inc("serve.storage_degraded")
         obs.inc("serve.campaigns.degraded", 1 + len(followers))
 
-    def _mark_degraded(self, campaign_id: str, error: str) -> None:
-        """In-memory terminal state for a follower we could not persist."""
-        with self._cond:
-            follower = self._records.get(campaign_id)
-            if follower is not None:
-                follower.status = "degraded"
-                follower.error = f"storage_degraded: {error}"
-                follower.finished_ts = time.time()
-            self.counters["storage_degraded"] += 1
-            self._retain_done(campaign_id)
-
     def _fail(self, record: CampaignState, error: str) -> None:
         try:
             self.state.journal_done(
@@ -731,32 +734,15 @@ class ServeScheduler:
         except StorageDegradedError:
             pass  # restart will re-execute; in-memory state still set
         with self._cond:
-            followers = list(record.followers)
-            record.status = "failed"
-            record.error = error
-            record.finished_ts = time.time()
-            self._running_ids.discard(record.campaign_id)
-            if self._active_keys.get(record.content_key) == (
-                record.campaign_id
-            ):
-                del self._active_keys[record.content_key]
-            self.counters["failed"] += 1
-            self._retain_done(record.campaign_id)
+            followers = self._release(record)
+            self._retire(record.campaign_id, "failed", "failed", error=error)
         for follower_id in followers:
             try:
-                self.state.journal_done(
-                    follower_id, "failed", error=error
-                )
+                self.state.journal_done(follower_id, "failed", error=error)
             except StorageDegradedError:
                 pass
             with self._cond:
-                follower = self._records.get(follower_id)
-                if follower is not None:
-                    follower.status = "failed"
-                    follower.error = error
-                    follower.finished_ts = time.time()
-                self.counters["failed"] += 1
-                self._retain_done(follower_id)
+                self._retire(follower_id, "failed", "failed", error=error)
         self.events.emit(
             "serve_finish",
             campaign=record.campaign_id,
@@ -776,64 +762,3 @@ class ServeScheduler:
                 "degraded",
             ):
                 del self._records[evicted]
-
-
-def _document_digest(document: dict[str, Any]) -> str:
-    """Content digest of a result document (canonical JSON, SHA-256)."""
-    import hashlib
-
-    return hashlib.sha256(canonical_json(document).encode()).hexdigest()
-
-
-class _ShedBackend(FleetBackend):
-    """A fleet backend that sheds uncached work beyond a budget.
-
-    Under overload the evaluate path still runs every *cached* workload
-    (free) plus at most ``budget`` uncached ones; the rest come back as
-    :class:`~repro.errors.SimulationError` slots, which
-    ``evaluate_server(..., allow_partial=True)`` degrades into
-    ``missing`` labels with ``coverage < 1`` — the documented partial
-    contract, not a new failure mode.
-    """
-
-    budget: int = 1
-
-    def map_runs(
-        self,
-        simulator: Simulator,
-        workloads: "list[Workload | ResourceDemand]",
-    ) -> "list[RunResult | WorkloadError]":
-        placement = simulator.placement_policy
-        results: "list[Any]" = [None] * len(workloads)
-        keep_idx: "list[int]" = []
-        uncached = 0
-        for i, workload in enumerate(workloads):
-            if isinstance(workload, Workload):
-                try:
-                    workload.bind(simulator.server)
-                except WorkloadError as exc:
-                    results[i] = exc
-                    continue
-            job = make_job(
-                simulator.server, workload, simulator.seed, placement
-            )
-            hit = (
-                self.cache.get(job_cache_key(job))
-                if self.cache is not None
-                else None
-            )
-            if hit is None:
-                uncached += 1
-                if uncached > self.budget:
-                    results[i] = SimulationError(
-                        f"shed under overload: {job.label}"
-                    )
-                    continue
-            keep_idx.append(i)
-        if keep_idx:
-            ran = super().map_runs(
-                simulator, [workloads[i] for i in keep_idx]
-            )
-            for i, run in zip(keep_idx, ran):
-                results[i] = run
-        return results

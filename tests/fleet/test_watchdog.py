@@ -33,11 +33,14 @@ def _pooled_runner(fault, **kwargs):
 
 
 class TestWatchdog:
-    def test_hung_worker_is_killed_and_job_retried(self, baseline_digest):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hung_worker_is_killed_and_job_retried(
+        self, baseline_digest, workers
+    ):
         fault = FaultInjection(
             "ep.C.4", fail_attempts=1, kind="hang", delay_s=30.0
         )
-        outcome = _pooled_runner(fault).run(demo_campaign())
+        outcome = _pooled_runner(fault, workers=workers).run(demo_campaign())
         assert outcome.ok
         assert outcome.results_digest() == baseline_digest
 
@@ -79,6 +82,25 @@ class TestWatchdog:
         assert len(outcome.results()) == 4
         kinds = {e["kind"] for e in read_events(events_path)}
         assert "job_timeout" in kinds
+        assert "pool_replaced" in kinds
+
+    def test_one_worker_with_a_timeout_still_has_a_watchdog(
+        self, tmp_path, baseline_digest
+    ):
+        # One worker runs inline, where a hung call could never be
+        # interrupted; with a timeout it runs in a one-process pool.
+        fault = FaultInjection(
+            "ep.C.4", fail_attempts=1, kind="hang", delay_s=3.0
+        )
+        events_path = tmp_path / "events.jsonl"
+        with EventLog(events_path) as events:
+            outcome = _pooled_runner(
+                fault, workers=1, timeout_s=0.5, events=events
+            ).run(demo_campaign())
+        assert outcome.ok
+        assert outcome.results_digest() == baseline_digest
+        kinds = [e["kind"] for e in read_events(events_path)]
+        assert kinds.count("job_timeout") == 1
         assert "pool_replaced" in kinds
 
     def test_chunked_dispatch_survives_a_crash(self, baseline_digest):

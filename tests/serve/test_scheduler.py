@@ -128,30 +128,32 @@ class TestDedup:
 
 class TestOverload:
     def test_shed_lookup_never_sizes_the_cache(self, tmp_path, monkeypatch):
-        # Sizing the cache globs its whole directory; the shed backend's
-        # per-workload lookup must only ever ask for its own key.
-        from repro.core.states import evaluation_states
-        from repro.fleet import FleetBackend, ResultCache
-        from repro.serve.scheduler import _ShedBackend
+        # Sizing the cache globs its whole directory; the shed rule's
+        # per-job lookup must only ever ask for its own key.
+        from repro.fleet import FleetRunner, ResultCache
+        from repro.serve.protocol import submission_jobs
 
-        server = get_server("Xeon-E5462")
-        workloads = [
-            s.workload for s in evaluation_states(server) if not s.is_idle
-        ]
-        cache = ResultCache(tmp_path / "cache")
-        cold = FleetBackend(workers=1, cache=cache).map_runs(
-            Simulator(server), workloads
+        scheduler = ServeScheduler(
+            StateStore(tmp_path / "state"), slots=1, shed_job_budget=1
         )
+        submission = _evaluate_submission()
+        jobs = submission_jobs(submission.kind, submission.spec)
+        cold = FleetRunner(workers=1, cache=scheduler.cache).run_jobs(jobs)
 
         def no_len(self):
             raise AssertionError("ResultCache.__len__ called")
 
         monkeypatch.setattr(ResultCache, "__len__", no_len)
-        shed = _ShedBackend(workers=1, cache=cache)
-        shed.budget = 0  # every uncached workload would be shed
-        warm = shed.map_runs(Simulator(server), workloads)
-        assert [w.measured_watts.tolist() for w in warm] == [
-            c.measured_watts.tolist() for c in cold
+        try:
+            # Every job is cached, so none is shed despite the budget.
+            kept, skipped = scheduler._shed(jobs)
+            assert kept == jobs and not skipped
+            warm = FleetRunner(workers=1, cache=scheduler.cache).run_jobs(kept)
+        finally:
+            scheduler.drain(timeout_s=1)
+        assert warm.cache_hits == len(jobs)
+        assert [r.result.measured_watts.tolist() for r in warm.records] == [
+            r.result.measured_watts.tolist() for r in cold.records
         ]
 
     def test_backlog_sheds_to_partial_evaluation(self, tmp_path):
@@ -276,6 +278,44 @@ class TestDurability:
             )
         finally:
             second.drain(timeout_s=30)
+
+    def test_start_after_submit_keeps_live_campaigns_as_they_are(
+        self, tmp_path
+    ):
+        # A library caller may submit before start().  The journal then
+        # holds campaigns this process already owns; replaying them must
+        # not rebuild the primary as its own dedup follower.
+        root = tmp_path / "state"
+        scheduler = ServeScheduler(StateStore(root), slots=1)
+        first = scheduler.submit(_evaluate_submission(tenant="alice"))
+        second = scheduler.submit(_evaluate_submission(tenant="bob"))
+        ids = [first.campaign.campaign_id, second.campaign.campaign_id]
+        assert scheduler.start() == 0
+        try:
+            for campaign_id in ids:
+                assert _wait_done(scheduler, campaign_id)["status"] == "done"
+        finally:
+            scheduler.drain(timeout_s=30)
+        assert "dedup_of" not in scheduler.status(ids[0])
+        assert scheduler.status(ids[1])["dedup_of"] == ids[0]
+        counters = scheduler.stats()["counters"]
+        assert counters["completed"] == 2
+        assert counters["resumed"] == 0
+        done = [
+            record["id"]
+            for record in map(
+                json.loads, (root / "journal.jsonl").read_text().splitlines()
+            )
+            if record["kind"] == "done"
+        ]
+        assert sorted(done) == ids
+        finishes = [
+            e
+            for e in read_events(scheduler.state.events_path)
+            if e["kind"] == "serve_finish"
+        ]
+        assert sorted(e["campaign"] for e in finishes) == ids
+        assert all(e.get("dedup_of") != e["campaign"] for e in finishes)
 
     def test_storage_failure_degrades_instead_of_failing(self, tmp_path):
         # A result write dying mid-campaign is not a failure: the

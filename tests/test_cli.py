@@ -502,6 +502,28 @@ class TestModel:
         assert code == 1
         assert "CORRUPT" in out
 
+    def test_listing_shows_healthy_models_beside_a_damaged_one(
+        self, capsys, tmp_path
+    ):
+        registry = tmp_path / "models"
+        code, _out, _ = run_cli(
+            capsys, "model", "train", "--server", "Xeon-E5462",
+            "--registry", str(registry),
+        )
+        assert code == 0
+        damaged = registry / "aaa-damaged" / "v000001.json"
+        damaged.parent.mkdir()
+        damaged.write_text("[]")
+        code, out, _ = run_cli(
+            capsys, "model", "registry", "--registry", str(registry)
+        )
+        assert code == 1
+        rows = out.splitlines()[1:]
+        assert rows[0].startswith("aaa-damaged")
+        assert "CORRUPT" in rows[0] and "a JSON list" in rows[0]
+        assert rows[1].startswith("xeon-e5462") and "v000001" in rows[1]
+        assert "CORRUPT" not in rows[1]
+
     def test_validate_out_of_band_exits_one(self, capsys, tmp_path, monkeypatch):
         from repro.model import validate as validate_module
 
