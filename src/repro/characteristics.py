@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.demand import PROFILE_FIELDS, ResourceDemand
 from repro.errors import ConfigurationError
 
 __all__ = ["ProgramTraits", "TRAITS", "get_traits"]
@@ -38,7 +39,12 @@ __all__ = ["ProgramTraits", "TRAITS", "get_traits"]
 
 @dataclass(frozen=True)
 class ProgramTraits:
-    """Normalized intensity attributes of one program (all in [0, 1])."""
+    """Normalized intensity attributes of one program (all in [0, 1]).
+
+    The attributes are the nine :data:`~repro.demand.PROFILE_FIELDS`;
+    :meth:`demand` is the one rule that turns them into a bound run's
+    :class:`~repro.demand.ResourceDemand`.
+    """
 
     name: str
     ipc: float
@@ -52,22 +58,33 @@ class ProgramTraits:
     cpu_util: float = 1.0
 
     def __post_init__(self) -> None:
-        for attr in (
-            "ipc",
-            "fp_intensity",
-            "mem_intensity",
-            "comm_intensity",
-            "l1_locality",
-            "l2_locality",
-            "l3_locality",
-            "read_fraction",
-            "cpu_util",
-        ):
+        for attr in PROFILE_FIELDS:
             value = getattr(self, attr)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(
                     f"{self.name}.{attr} must be in [0, 1], got {value}"
                 )
+
+    def demand(
+        self,
+        program: str,
+        nprocs: int,
+        duration_s: float,
+        gflops: float,
+        memory_mb: float,
+        **overrides: float,
+    ) -> ResourceDemand:
+        """The demand of one run of this program, labelled ``program``.
+
+        The nine profile fields come from these traits; ``overrides``
+        replaces single ones (HPL's block efficiency, SPECpower's load
+        level), so a workload states only where its run departs from
+        the program's profile.
+        """
+        profile = {name: getattr(self, name) for name in PROFILE_FIELDS}
+        return ResourceDemand(
+            program, nprocs, duration_s, gflops, memory_mb, **(profile | overrides)
+        )
 
 
 def _t(name: str, **kw: float) -> ProgramTraits:

@@ -23,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro import io as repro_io
 from repro.errors import ConfigurationError
-from repro.hardware.specs import BUILTIN_SERVERS, ServerSpec, get_server
+from repro.hardware.specs import ServerSpec, get_server
 
 __all__ = [
     "CLUSTER_KIND",
@@ -161,25 +162,6 @@ class ClusterSpec:
         return node_id // self.nodes_per_rack
 
 
-def _server_ref(server: ServerSpec) -> "str | dict[str, Any]":
-    """Builtin servers serialise by name; custom ones embed their spec."""
-    from repro import io as repro_io
-
-    builtin = BUILTIN_SERVERS.get(server.name)
-    if builtin is not None and builtin == server:
-        return server.name
-    return repro_io.server_to_dict(server)
-
-
-def _resolve_server(ref: "str | dict[str, Any]") -> ServerSpec:
-    from repro import io as repro_io
-    from repro.hardware.zoo import resolve_server
-
-    if isinstance(ref, str):
-        return resolve_server(ref)
-    return repro_io.server_from_dict(ref)
-
-
 def cluster_to_dict(cluster: ClusterSpec) -> dict[str, Any]:
     """Serialise a :class:`ClusterSpec` to its JSON document."""
     ic = cluster.interconnect
@@ -189,7 +171,7 @@ def cluster_to_dict(cluster: ClusterSpec) -> dict[str, Any]:
         "name": cluster.name,
         "nodes_per_rack": cluster.nodes_per_rack,
         "groups": [
-            {"server": _server_ref(g.server), "count": g.count}
+            {"server": repro_io.server_ref(g.server), "count": g.count}
             for g in cluster.groups
         ],
         "interconnect": {
@@ -219,7 +201,7 @@ def cluster_from_dict(data: dict[str, Any]) -> ClusterSpec:
     return ClusterSpec(
         name=data["name"],
         groups=tuple(
-            NodeGroup(_resolve_server(g["server"]), int(g["count"]))
+            NodeGroup(repro_io.server_from_ref(g["server"]), int(g["count"]))
             for g in data["groups"]
         ),
         nodes_per_rack=int(data.get("nodes_per_rack", 16)),

@@ -31,9 +31,12 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 
-__all__ = ["ResourceDemand"]
+__all__ = ["PROFILE_FIELDS", "ResourceDemand"]
 
-_UNIT_FIELDS = (
+#: The nine profile fields of a demand, each in [0, 1]: what a program's
+#: traits (:class:`repro.characteristics.ProgramTraits`) carry, as
+#: opposed to the size of one bound run.
+PROFILE_FIELDS = (
     "cpu_util",
     "ipc",
     "fp_intensity",
@@ -106,7 +109,7 @@ class ResourceDemand:
             raise ConfigurationError(
                 f"memory_mb must be >= 0, got {self.memory_mb}"
             )
-        for name in _UNIT_FIELDS:
+        for name in PROFILE_FIELDS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(

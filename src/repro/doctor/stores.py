@@ -221,27 +221,46 @@ def verify_cache_entry(meta_path: Path) -> "str | None":
 
 
 class FleetCacheStore(StoreAdapter):
-    """Adapter over one content-addressed result-cache directory."""
+    """Adapter over one content-addressed result-cache directory.
+
+    An entry is its ``<key>.json`` metadata and ``<key>.bin`` blob.  A
+    blob without metadata is an *orphan*: a put that died between its
+    two renames (a kill, or ENOSPC on the metadata write) or a deleted
+    ``.json``.  No lookup can reach it, so it is listed as an entry (its
+    bytes count toward eviction caps), audited as an ``orphan_blob``
+    warning, and removed by :meth:`gc`.
+    """
 
     name = "fleet-cache"
 
     def __init__(self, root: "str | Path"):
         self.root = Path(root)
 
-    def _metas(self) -> list[Path]:
+    def _files(self, suffix: str) -> "dict[str, Path]":
+        """``key -> path`` of every live ``*<suffix>`` file."""
         if not self.root.is_dir():
-            return []
-        return sorted(
-            p
-            for p in self.root.glob("*/*.json")
+            return {}
+        return {
+            p.stem: p
+            for p in self.root.glob(f"*/*{suffix}")
             if p.parent.name != "quarantine" and ".tmp" not in p.name
+        }
+
+    def _metas(self) -> list[Path]:
+        return sorted(self._files(".json").values())
+
+    def _orphans(self) -> list[Path]:
+        """Blobs whose metadata file does not exist."""
+        metas = self._files(".json")
+        return sorted(
+            blob for key, blob in self._files(".bin").items() if key not in metas
         )
 
     def entries(self) -> list[StoreEntry]:
         out = []
-        for meta in self._metas():
-            blob = meta.with_suffix(".bin")
-            paths = tuple(p for p in (meta, blob) if p.exists())
+        for path in self._metas() + self._orphans():
+            pair = (path.with_suffix(".json"), path.with_suffix(".bin"))
+            paths = tuple(p for p in pair if p.exists())
             size = 0
             mtime = 0.0
             for p in paths:
@@ -254,7 +273,7 @@ class FleetCacheStore(StoreAdapter):
             out.append(
                 StoreEntry(
                     store=self.name,
-                    entry_id=meta.stem,
+                    entry_id=path.stem,
                     paths=paths,
                     size=size,
                     mtime=mtime,
@@ -270,6 +289,10 @@ class FleetCacheStore(StoreAdapter):
                 findings.append(
                     Finding(self.name, meta.stem, str(meta), problem)
                 )
+        for blob in self._orphans():
+            findings.append(
+                Finding(self.name, blob.stem, str(blob), "orphan_blob", "warn")
+            )
         return findings
 
     def repair(self) -> list[Finding]:
@@ -283,6 +306,8 @@ class FleetCacheStore(StoreAdapter):
         findings = self.audit()
         cache = ResultCache(self.root)
         for finding in findings:
+            if finding.severity != "corrupt":
+                continue  # an orphan blob is gc's to remove
             cache.get(finding.entry_id)
             if not (self.root / finding.entry_id[:2]).joinpath(
                 f"{finding.entry_id}.json"
@@ -298,6 +323,7 @@ class FleetCacheStore(StoreAdapter):
             return []
         now = time.time()
         removed = _sweep_tmp(self.root, "*/*.tmp*")
+        removed += [blob for blob in self._orphans() if _rm(blob)]
         removed += _sweep_quarantine(
             self.root / "quarantine", quarantine_ttl_s, now
         )

@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -122,25 +122,6 @@ def job_cache_key(job: FleetJob) -> str:
     return canonical_digest(payload)
 
 
-def _demand_to_dict(demand: ResourceDemand) -> dict[str, Any]:
-    return {
-        "program": demand.program,
-        "nprocs": demand.nprocs,
-        "duration_s": demand.duration_s,
-        "gflops": demand.gflops,
-        "memory_mb": demand.memory_mb,
-        "cpu_util": demand.cpu_util,
-        "ipc": demand.ipc,
-        "fp_intensity": demand.fp_intensity,
-        "mem_intensity": demand.mem_intensity,
-        "comm_intensity": demand.comm_intensity,
-        "l1_locality": demand.l1_locality,
-        "l2_locality": demand.l2_locality,
-        "l3_locality": demand.l3_locality,
-        "read_fraction": demand.read_fraction,
-    }
-
-
 #: Array layout of one result: the four trace arrays, then one column
 #: per :data:`~repro.engine.trace.PMU_COLUMNS` field.
 _TRACE_ARRAYS = ("times_s", "true_watts", "measured_watts", "memory_mb")
@@ -176,7 +157,7 @@ def _result_from_arrays(
 
 def _result_meta(result: RunResult) -> dict[str, Any]:
     return {
-        "demand": _demand_to_dict(result.demand),
+        "demand": asdict(result.demand),
         "t_start_s": result.t_start_s,
         "power_factor": result.power_factor,
     }

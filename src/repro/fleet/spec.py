@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
+from repro import io as repro_io
 from repro.demand import ResourceDemand
 from repro.errors import ConfigurationError, WorkloadError
 from repro.hardware.specs import BUILTIN_SERVERS, ServerSpec, get_server
 from repro.workloads.base import Workload
+from repro.workloads.hpcc import HpccWorkload
 from repro.workloads.hpl import HplConfig, HplWorkload
 from repro.workloads.npb import NpbWorkload
 from repro.workloads.specpower import SpecPowerLevel, SpecPowerWorkload
@@ -51,30 +53,15 @@ CAMPAIGN_SCHEMA_VERSION = 1
 def workload_to_dict(workload: "Workload | ResourceDemand") -> dict[str, Any]:
     """Serialise one workload configuration to a tagged JSON dict.
 
-    Supports the three concrete workload families the paper runs (NPB,
-    HPL, SPECpower) plus bare :class:`~repro.demand.ResourceDemand`
-    objects (the idle state and custom demands).
+    Supports the four concrete workload families the paper runs (NPB,
+    HPL, SPECpower, and the HPCC training components) plus bare
+    :class:`~repro.demand.ResourceDemand` objects (the idle state and
+    custom demands, written field for field).
     """
     if isinstance(workload, ResourceDemand):
         if workload.is_idle:
             return {"type": "idle", "duration_s": workload.duration_s}
-        return {
-            "type": "demand",
-            "program": workload.program,
-            "nprocs": workload.nprocs,
-            "duration_s": workload.duration_s,
-            "gflops": workload.gflops,
-            "memory_mb": workload.memory_mb,
-            "cpu_util": workload.cpu_util,
-            "ipc": workload.ipc,
-            "fp_intensity": workload.fp_intensity,
-            "mem_intensity": workload.mem_intensity,
-            "comm_intensity": workload.comm_intensity,
-            "l1_locality": workload.l1_locality,
-            "l2_locality": workload.l2_locality,
-            "l3_locality": workload.l3_locality,
-            "read_fraction": workload.read_fraction,
-        }
+        return {"type": "demand", **asdict(workload)}
     if isinstance(workload, NpbWorkload):
         return {
             "type": "npb",
@@ -97,6 +84,12 @@ def workload_to_dict(workload: "Workload | ResourceDemand") -> dict[str, Any]:
             "type": "specpower",
             "level": workload.level.name,
             "load": workload.level.load,
+        }
+    if isinstance(workload, HpccWorkload):
+        return {
+            "type": "hpcc",
+            "component": workload.component.name,
+            "nprocs": workload.nprocs,
         }
     raise ConfigurationError(
         f"cannot serialise workload of type {type(workload).__name__}"
@@ -128,6 +121,8 @@ def workload_from_dict(data: dict[str, Any]) -> "Workload | ResourceDemand":
         return SpecPowerWorkload(
             SpecPowerLevel(data["level"], float(data["load"]))
         )
+    if kind == "hpcc":
+        return HpccWorkload(str(data["component"]), int(data["nprocs"]))
     raise ConfigurationError(f"unknown workload type {kind!r}")
 
 
@@ -261,24 +256,6 @@ class CampaignSpec:
         return tuple(out)
 
 
-def _server_ref(server: ServerSpec) -> "str | dict[str, Any]":
-    """Builtin servers serialise by name; custom ones embed their spec."""
-    from repro import io as repro_io
-
-    builtin = BUILTIN_SERVERS.get(server.name)
-    if builtin is not None and builtin == server:
-        return server.name
-    return repro_io.server_to_dict(server)
-
-
-def _resolve_server(ref: "str | dict[str, Any]") -> ServerSpec:
-    from repro import io as repro_io
-
-    if isinstance(ref, str):
-        return get_server(ref)
-    return repro_io.server_from_dict(ref)
-
-
 def campaign_to_dict(spec: CampaignSpec) -> dict[str, Any]:
     """Serialise a :class:`CampaignSpec` to its JSON document."""
     return {
@@ -288,7 +265,7 @@ def campaign_to_dict(spec: CampaignSpec) -> dict[str, Any]:
         "seed": spec.seed,
         "placement": spec.placement,
         "evaluation_matrix": spec.evaluation_matrix,
-        "servers": [_server_ref(s) for s in spec.servers],
+        "servers": [repro_io.server_ref(s) for s in spec.servers],
         "workloads": [dict(w) for w in spec.workloads],
     }
 
@@ -311,7 +288,7 @@ def campaign_from_dict(data: dict[str, Any]) -> CampaignSpec:
         workload_from_dict(w)  # validate eagerly, fail at load time
     return CampaignSpec(
         name=data["name"],
-        servers=tuple(_resolve_server(r) for r in data["servers"]),
+        servers=tuple(repro_io.server_from_ref(r) for r in data["servers"]),
         workloads=workloads,
         evaluation_matrix=bool(data.get("evaluation_matrix", False)),
         seed=int(data.get("seed", 0)),

@@ -205,21 +205,8 @@ def anchor_demand(server: ServerSpec, anchor: AnchorPoint) -> ResourceDemand:
         memory_mb = 8.0 * n * n / (1024.0**2)
         suffix = "Mh" if anchor.memory_fraction <= 0.5 else "Mf"
         label = f"HPL P{anchor.nprocs} {suffix}"
-    return ResourceDemand(
-        program=label,
-        nprocs=anchor.nprocs,
-        duration_s=100.0,
-        gflops=0.0,
-        memory_mb=memory_mb,
-        cpu_util=traits.cpu_util,
-        ipc=traits.ipc,
-        fp_intensity=traits.fp_intensity,
-        mem_intensity=traits.mem_intensity,
-        comm_intensity=traits.comm_intensity,
-        l1_locality=traits.l1_locality,
-        l2_locality=traits.l2_locality,
-        l3_locality=traits.l3_locality,
-        read_fraction=traits.read_fraction,
+    return traits.demand(
+        label, anchor.nprocs, duration_s=100.0, gflops=0.0, memory_mb=memory_mb
     )
 
 

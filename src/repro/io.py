@@ -19,6 +19,8 @@ import numpy as np
 from repro.core.evaluation import EvaluationResult, EvaluationRow
 from repro.core.regression import PowerRegressionModel, VerificationResult
 from repro.errors import ConfigurationError
+from repro.hardware.specs import BUILTIN_SERVERS
+from repro.hardware.zoo import resolve_server
 from repro.stats.linreg import OlsModel
 from repro.stats.normalize import ZScoreNormalizer
 
@@ -33,6 +35,8 @@ __all__ = [
     "model_from_dict",
     "server_to_dict",
     "server_from_dict",
+    "server_ref",
+    "server_from_ref",
     "save_json",
     "load_json",
 ]
@@ -302,6 +306,32 @@ def server_from_dict(data: dict[str, Any]):
         power_supplies=int(data["power_supplies"]),
         pstate=int(data.get("pstate", 0)),
     )
+
+
+def server_ref(server) -> "str | dict[str, Any]":
+    """How a campaign or cluster document names ``server``.
+
+    A builtin (Table I) server is written by name; any other server — a
+    zoo server, a custom spec, a server pinned at another P-state —
+    embeds its :func:`server_to_dict` spec, so the document stands on
+    its own.
+    """
+    builtin = BUILTIN_SERVERS.get(server.name)
+    if builtin is not None and builtin == server:
+        return server.name
+    return server_to_dict(server)
+
+
+def server_from_ref(ref: "str | dict[str, Any]"):
+    """Inverse of :func:`server_ref`.
+
+    A name resolves through :func:`repro.hardware.zoo.resolve_server`
+    (the builtins first, then the zoo), so a document may also name a
+    zoo server; an embedded spec is read with :func:`server_from_dict`.
+    """
+    if isinstance(ref, str):
+        return resolve_server(ref)
+    return server_from_dict(ref)
 
 
 def campaign_to_dict(spec) -> dict[str, Any]:

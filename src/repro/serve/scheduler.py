@@ -662,6 +662,10 @@ class ServeScheduler:
         with self._cond:
             followers = self._release(record)
             self._retire(record.campaign_id, "done", "completed", **done)
+            # Counted once per executed campaign: its followers count
+            # as ``deduped_campaigns``.
+            if partial:
+                self.counters["shed_campaigns"] += 1
         # Followers receive a byte-identical copy of the result.
         for follower_id in followers:
             try:

@@ -117,21 +117,11 @@ class HpccWorkload(Workload):
     def bind(self, server: ServerSpec) -> ResourceDemand:
         """Validate against ``server`` and build the steady-state demand."""
         server.validate_core_count(self.nprocs)
-        traits = get_traits(self.component.traits_key)
         usable = MemorySubsystem(server).usable_mb
-        return ResourceDemand(
-            program=self.label,
-            nprocs=self.nprocs,
-            duration_s=self.component.duration_s,
-            gflops=self.performance_gflops(server),
-            memory_mb=self.component.footprint_fraction * usable,
-            cpu_util=traits.cpu_util,
-            ipc=traits.ipc,
-            fp_intensity=traits.fp_intensity,
-            mem_intensity=traits.mem_intensity,
-            comm_intensity=traits.comm_intensity,
-            l1_locality=traits.l1_locality,
-            l2_locality=traits.l2_locality,
-            l3_locality=traits.l3_locality,
-            read_fraction=traits.read_fraction,
+        return get_traits(self.component.traits_key).demand(
+            self.label,
+            self.nprocs,
+            self.component.duration_s,
+            self.performance_gflops(server),
+            self.component.footprint_fraction * usable,
         )

@@ -158,19 +158,12 @@ class HplWorkload(Workload):
         traits = get_traits("hpl")
         # Small blocks keep the FP units less busy: the NB=50 power dip.
         nb_eff = block_efficiency(self.config.nb)
-        return ResourceDemand(
-            program=self.label,
-            nprocs=self.config.nprocs,
-            duration_s=duration,
-            gflops=gflops,
-            memory_mb=memory_mb,
-            cpu_util=traits.cpu_util,
+        return traits.demand(
+            self.label,
+            self.config.nprocs,
+            duration,
+            gflops,
+            memory_mb,
             ipc=traits.ipc * nb_eff,
             fp_intensity=traits.fp_intensity * nb_eff,
-            mem_intensity=traits.mem_intensity,
-            comm_intensity=traits.comm_intensity,
-            l1_locality=traits.l1_locality,
-            l2_locality=traits.l2_locality,
-            l3_locality=traits.l3_locality,
-            read_fraction=traits.read_fraction,
         )

@@ -258,20 +258,6 @@ class NpbWorkload(Workload):
         )
         gops = self.npb.performance_gops(server, self.nprocs)
         duration = self.npb.duration_s(server, self.klass, self.nprocs)
-        traits = get_traits(self.program)
-        return ResourceDemand(
-            program=self.label,
-            nprocs=self.nprocs,
-            duration_s=duration,
-            gflops=gops,
-            memory_mb=memory_mb,
-            cpu_util=traits.cpu_util,
-            ipc=traits.ipc,
-            fp_intensity=traits.fp_intensity,
-            mem_intensity=traits.mem_intensity,
-            comm_intensity=traits.comm_intensity,
-            l1_locality=traits.l1_locality,
-            l2_locality=traits.l2_locality,
-            l3_locality=traits.l3_locality,
-            read_fraction=traits.read_fraction,
+        return get_traits(self.program).demand(
+            self.label, self.nprocs, duration, gops, memory_mb
         )

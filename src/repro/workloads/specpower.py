@@ -120,19 +120,12 @@ class SpecPowerWorkload(Workload):
         heap_fraction = (
             _HEAP_BASE_FRACTION + _HEAP_LOAD_FRACTION * self.level.load
         )
-        return ResourceDemand(
-            program=self.label,
-            nprocs=server.total_cores,
+        return traits.demand(
+            self.label,
+            server.total_cores,
             duration_s=LEVEL_DURATION_S,
             gflops=0.0,
             memory_mb=heap_fraction * server.memory_mb,
             cpu_util=self.level.load,
-            ipc=traits.ipc,
-            fp_intensity=traits.fp_intensity,
             mem_intensity=traits.mem_intensity * self.level.load,
-            comm_intensity=traits.comm_intensity,
-            l1_locality=traits.l1_locality,
-            l2_locality=traits.l2_locality,
-            l3_locality=traits.l3_locality,
-            read_fraction=traits.read_fraction,
         )

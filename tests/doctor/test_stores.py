@@ -10,6 +10,8 @@ or compacted and the survivors are untouched.
 import hashlib
 import json
 
+from repro.doctor import safewrite
+from repro.doctor.engine import EvictionPolicy, evict_store
 from repro.doctor.stores import (
     SUBMIT_JOURNAL_KINDS,
     FleetCacheStore,
@@ -104,6 +106,59 @@ class TestFleetCacheStore:
         store.gc(quarantine_ttl_s=0.0)
         assert not corpse.exists()
         assert store.audit() == []
+
+
+class TestOrphanBlobs:
+    """A blob whose metadata never landed (or was deleted) is invisible
+    to every lookup; the doctor must still see it and reclaim it."""
+
+    def _orphan(self, tmp_path, run_result):
+        cache = _cache_with_entries(tmp_path, run_result)
+        key = "cc" + "0" * 62
+        # The blob write spends the only token; the metadata write hits
+        # ENOSPC, and put degrades, leaving the blob behind.
+        safewrite.inject_disk_full(budget=1)
+        try:
+            assert cache.put(key, run_result, wall_s=0.3) is None
+        finally:
+            safewrite.clear_disk_fault()
+        blob = cache.root / key[:2] / f"{key}.bin"
+        assert blob.exists() and not blob.with_suffix(".json").exists()
+        return FleetCacheStore(cache.root), key, blob
+
+    def test_audit_warns_and_gc_removes_it(self, tmp_path, run_result):
+        store, key, blob = self._orphan(tmp_path, run_result)
+        ids = sorted(e.entry_id for e in store.entries())
+        assert ids == [_KEY_A, _KEY_B, key]
+        (finding,) = store.audit()
+        assert (finding.entry_id, finding.problem, finding.severity) == (
+            key,
+            "orphan_blob",
+            "warn",
+        )
+        assert blob.exists()  # audit is read-only
+        (repaired,) = store.repair()
+        assert repaired.action == "" and blob.exists()  # gc's to remove
+        assert store.gc() == [blob]
+        assert not blob.exists()
+        assert store.audit() == []
+
+    def test_a_deleted_metadata_file_leaves_an_orphan(
+        self, tmp_path, run_result
+    ):
+        cache = _cache_with_entries(tmp_path, run_result)
+        meta = cache.root / _KEY_A[:2] / f"{_KEY_A}.json"
+        meta.unlink()
+        store = FleetCacheStore(cache.root)
+        assert [f.problem for f in store.audit()] == ["orphan_blob"]
+        assert store.gc() == [meta.with_suffix(".bin")]
+
+    def test_eviction_counts_and_removes_it(self, tmp_path, run_result):
+        store, _key, blob = self._orphan(tmp_path, run_result)
+        report = evict_store(store, EvictionPolicy(max_entries=0))
+        assert report.examined == 3
+        assert not blob.exists()
+        assert store.entries() == []
 
 
 def _state_with_result(tmp_path):

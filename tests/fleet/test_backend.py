@@ -82,3 +82,18 @@ class TestMapRuns:
         )
         with pytest.raises(SimulationError):
             backend.map_runs(simulator, [NpbWorkload("ep", "C", 2)])
+
+
+class TestHpccThroughTheFleet:
+    def test_training_set_is_identical_to_the_inline_path(self, backend):
+        from repro.core.regression import collect_hpcc_training
+
+        simulator = Simulator(XEON_E5462)
+        counts = [1, 2, 4]
+        inline = collect_hpcc_training(XEON_E5462, simulator, counts)
+        fleet = collect_hpcc_training(
+            XEON_E5462, simulator, counts, backend=backend
+        )
+        assert fleet.labels == inline.labels
+        assert fleet.features.tobytes() == inline.features.tobytes()
+        assert fleet.power.tobytes() == inline.power.tobytes()

@@ -128,3 +128,48 @@ class TestCampaignSpec:
         data["workloads"].append({"type": "mystery"})
         with pytest.raises(ConfigurationError):
             campaign_from_dict(data)
+
+
+class TestHpccWorkloadCodec:
+    @pytest.mark.parametrize("component", ["hpl", "stream", "beff"])
+    def test_round_trip_binds_identically(self, component):
+        from repro.workloads.hpcc import HpccWorkload
+
+        workload = HpccWorkload(component, 4)
+        data = workload_to_dict(workload)
+        assert data == {"type": "hpcc", "component": component, "nprocs": 4}
+        clone = workload_from_dict(data)
+        assert workload_label(clone) == workload_label(workload)
+        assert clone.idiosyncrasy_key() == workload.idiosyncrasy_key()
+        assert clone.bind(XEON_E5462) == workload.bind(XEON_E5462)
+
+    def test_unknown_component_rejected(self):
+        with pytest.raises(ConfigurationError, match="HPCC component"):
+            workload_from_dict(
+                {"type": "hpcc", "component": "linpack", "nprocs": 2}
+            )
+
+    def test_campaign_document_names_hpcc(self):
+        spec = CampaignSpec(
+            name="hpcc",
+            servers=(XEON_E5462,),
+            workloads=({"type": "hpcc", "component": "dgemm", "nprocs": 2},),
+        )
+        (job,) = campaign_from_dict(campaign_to_dict(spec)).jobs()
+        assert job.label == "hpcc_dgemm.2"
+
+
+class TestZooServerNames:
+    def test_campaign_resolves_a_zoo_server_name(self):
+        from repro.hardware.zoo import get_zoo_server
+
+        data = campaign_to_dict(demo_campaign())
+        data["servers"] = ["Tesla-K20-Node"]
+        spec = campaign_from_dict(data)
+        assert spec.servers == (get_zoo_server("Tesla-K20-Node"),)
+
+    def test_unknown_server_name_rejected(self):
+        data = campaign_to_dict(demo_campaign())
+        data["servers"] = ["PDP-11"]
+        with pytest.raises(ConfigurationError, match="^unknown server"):
+            campaign_from_dict(data)

@@ -163,3 +163,14 @@ class TestContentKey:
         a = parse_submission({"server": "Xeon-E5462", "seed": 0}, None)
         b = parse_submission({"server": "Xeon-E5462", "seed": 1}, None)
         assert submission_content_key(a) != submission_content_key(b)
+
+
+class TestZooServerSubmissions:
+    def test_fleet_campaign_may_name_a_zoo_server(self):
+        from repro.fleet import campaign_to_dict, demo_campaign
+
+        doc = campaign_to_dict(demo_campaign())
+        doc["servers"] = ["Tesla-K20-Node"]
+        submission = parse_submission({"campaign": doc}, "alice")
+        assert submission.kind == "fleet"
+        assert submission.spec["servers"] == ["Tesla-K20-Node"]

@@ -255,6 +255,34 @@ class TestShedFleetPins:
         } == counts
 
 
+class TestShedCounter:
+    def test_a_shed_campaign_counts_once_and_its_follower_does_not(
+        self, tmp_path
+    ):
+        # As _run_shed, with a dedup follower of the target journaled
+        # too: the shed primary counts, its follower only as deduped.
+        root = tmp_path / "state"
+        policy = QueuePolicy(max_depth=8, max_pending=2, shed_fraction=0.5)
+        first = ServeScheduler(StateStore(root), policy=policy, slots=1)
+        ids = [
+            first.submit(submission).campaign.campaign_id
+            for submission in (_evaluate(), _evaluate("carol"), _filler())
+        ]
+        assert first.counters["deduped_campaigns"] == 1
+        assert first.drain(timeout_s=1) == ids
+        second = ServeScheduler(
+            StateStore(root), policy=policy, slots=1, shed_job_budget=2
+        )
+        assert second.start() == 3
+        try:
+            statuses = [_wait_terminal(second, cid) for cid in ids]
+        finally:
+            second.drain(timeout_s=60)
+        assert [s["status"] for s in statuses] == ["done"] * 3
+        assert [s["partial"] for s in statuses] == [True, True, False]
+        assert second.stats()["counters"]["shed_campaigns"] == 1
+
+
 def _normalise(value, root):
     """Drop timestamps and spell the state directory as ``<state>``."""
     if isinstance(value, dict):

@@ -168,3 +168,33 @@ class TestPartialEvaluationSerialisation:
         assert restored.missing == partial.missing
         assert restored.coverage == pytest.approx(0.5)
         assert not restored.complete
+
+
+class TestServerReference:
+    def test_builtin_is_written_by_name(self):
+        from repro.hardware import XEON_E5462
+
+        assert repro_io.server_ref(XEON_E5462) == "Xeon-E5462"
+        assert repro_io.server_from_ref("Xeon-E5462") == XEON_E5462
+
+    def test_zoo_server_embeds_its_spec_and_resolves_by_name(self):
+        from repro.hardware.zoo import get_zoo_server
+
+        k20 = get_zoo_server("Tesla-K20-Node")
+        ref = repro_io.server_ref(k20)
+        assert ref == repro_io.server_to_dict(k20)
+        assert repro_io.server_from_ref(ref) == k20
+        assert repro_io.server_from_ref("Tesla-K20-Node") == k20
+
+    def test_server_at_another_pstate_is_embedded(self):
+        from repro.hardware.zoo import get_zoo_server
+
+        variant = get_zoo_server("Xeon-E5462-DVFS")
+        throttled = variant.at_pstate(1)
+        ref = repro_io.server_ref(throttled)
+        assert isinstance(ref, dict)
+        assert repro_io.server_from_ref(ref) == throttled
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(ConfigurationError, match="^unknown server"):
+            repro_io.server_from_ref("PDP-11")
