@@ -8,8 +8,8 @@ cover the three layers the harness drills:
 * **meter traces** — sample dropout, glitch spikes, NaN watts, clock
   skew (array in, array out);
 * **CSV logs** — truncation mid-row and corrupted rows (file in place);
-* **result cache** — a flipped payload bit and a torn (truncated)
-  sidecar write (cache directory in place).
+* **result cache** — a flipped bit and a torn (truncated) entry write
+  (cache directory in place).
 
 None of these functions is imported by any production path; they exist
 to *attack* the pipeline, and the hardening they exercise lives in
@@ -169,27 +169,30 @@ def corrupt_csv_rows(
     return path, [i + 1 for i in victims]
 
 
-def _cache_blobs(cache_root: "str | Path") -> "list[Path]":
-    """Live blob files of a result cache, quarantine excluded."""
-    root = Path(cache_root)
-    return sorted(
-        p
-        for p in root.glob("*/*.bin")
-        if p.parent.name != "quarantine"
-    )
+def _cache_entry(
+    cache_root: "str | Path", rng: np.random.Generator
+) -> Path:
+    """One live entry file of a result cache, picked by ``rng``."""
+    from repro.fleet.cache import ResultCache
+
+    entries = ResultCache(cache_root).paths()
+    if not entries:
+        raise ConfigurationError(f"no cache entries under {cache_root}")
+    return entries[int(rng.integers(len(entries)))]
 
 
 def flip_cache_bit(
     cache_root: "str | Path", rng: np.random.Generator
 ) -> Path:
-    """Flip one bit in one cached blob (silent media corruption)."""
-    blobs = _cache_blobs(cache_root)
-    if not blobs:
-        raise ConfigurationError(f"no cache blobs under {cache_root}")
-    victim = blobs[int(rng.integers(len(blobs)))]
+    """Flip one bit in one cache entry (silent media corruption).
+
+    The bit lands in the metadata line or in the blob; both carry a
+    checksum, so either is caught.
+    """
+    victim = _cache_entry(cache_root, rng)
     raw = bytearray(victim.read_bytes())
     if not raw:
-        raise ConfigurationError(f"cache blob {victim} is empty")
+        raise ConfigurationError(f"cache entry {victim} is empty")
     offset = int(rng.integers(len(raw)))
     raw[offset] ^= 1 << int(rng.integers(8))
     victim.write_bytes(bytes(raw))
@@ -234,11 +237,8 @@ def flip_journal_record(
 def tear_cache_entry(
     cache_root: "str | Path", rng: np.random.Generator
 ) -> Path:
-    """Truncate one cached blob to half (a torn, pre-fsync write)."""
-    blobs = _cache_blobs(cache_root)
-    if not blobs:
-        raise ConfigurationError(f"no cache blobs under {cache_root}")
-    victim = blobs[int(rng.integers(len(blobs)))]
+    """Truncate one cache entry to half (a torn, pre-fsync write)."""
+    victim = _cache_entry(cache_root, rng)
     raw = victim.read_bytes()
     victim.write_bytes(raw[: len(raw) // 2])
     return victim

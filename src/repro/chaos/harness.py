@@ -610,6 +610,13 @@ def _scenario_disk_full(seed: int) -> ScenarioVerdict:
                 "failed",
                 "digest changed under a full disk",
             )
+        if len(cache) != 1:
+            return ScenarioVerdict(
+                "disk-full",
+                "cache",
+                "failed",
+                f"{len(cache)} entries landed with one write token",
+            )
         if cache.stats.degraded < 1:
             return ScenarioVerdict(
                 "disk-full",
@@ -980,12 +987,12 @@ _SCENARIOS: "dict[str, tuple[str, str, object]]" = {
     ),
     "cache-bitflip": (
         "cache",
-        "one bit flipped in a cached blob; quarantined, recomputed",
+        "one bit flipped in a cache entry; quarantined, recomputed",
         _scenario_cache_bitflip,
     ),
     "cache-torn": (
         "cache",
-        "cached blob truncated (torn write); quarantined, recomputed",
+        "cache entry truncated (torn write); quarantined, recomputed",
         _scenario_cache_torn,
     ),
     "campaign-resume": (

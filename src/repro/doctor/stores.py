@@ -3,7 +3,7 @@
 The repo accumulates four long-lived on-disk stores:
 
 * the fleet's content-addressed **result cache** (checksummed
-  ``<key>.json`` + ``<key>.bin`` pairs under shard directories);
+  ``<key>.entry`` files under shard directories);
 * the serve daemon's **results store** (``results/<id>.json`` result
   documents, digest-pinned by the submit journal's ``done`` records);
 * the **model registry** (versioned, digest-checksummed artifacts);
@@ -19,18 +19,20 @@ mutates the store), :meth:`~StoreAdapter.repair` (quarantine/compact
 the corrupt findings, reusing each store's own machinery), :meth:`~
 StoreAdapter.evict` + :meth:`~StoreAdapter.commit` (capped eviction),
 and :meth:`~StoreAdapter.gc` (sweep temp files and stale quarantine
-corpses).  The eviction *policy* — TTL, caps, LRU order, pins — lives
-in :mod:`repro.doctor.engine`; adapters only know how to enumerate and
-remove.
+corpses).  The three stores whose entries are single files share
+:class:`FileStore`.  The eviction *policy* — TTL, caps, LRU order,
+pins — lives in :mod:`repro.doctor.engine`; adapters only know how to
+enumerate and remove.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from repro.doctor import safewrite
 from repro.doctor.jsonl import (
@@ -53,6 +55,7 @@ __all__ = [
     "Finding",
     "StoreEntry",
     "StoreAdapter",
+    "FileStore",
     "FleetCacheStore",
     "ServeResultsStore",
     "ModelRegistryStore",
@@ -161,23 +164,21 @@ class StoreAdapter:
         return []
 
 
-def _rm(path: Path) -> int:
-    """Best-effort unlink; returns the bytes freed."""
+def _rm(path: Path) -> "int | None":
+    """Best-effort unlink; returns the bytes freed, or ``None`` when the
+    file could not be removed (an empty file frees 0 bytes)."""
     try:
         size = path.stat().st_size
-    except OSError:
-        return 0
-    try:
         path.unlink()
     except OSError:
-        return 0
+        return None
     return size
 
 
 def _sweep_tmp(root: Path, pattern: str) -> list[Path]:
     removed = []
     for tmp in sorted(root.glob(pattern)):
-        if _rm(tmp):
+        if _rm(tmp) is not None:
             removed.append(tmp)
     return removed
 
@@ -198,15 +199,77 @@ def _sweep_quarantine(
                 continue
             if age < ttl_s:
                 continue
-        if _rm(corpse):
+        if _rm(corpse) is not None:
             removed.append(corpse)
     return removed
+
+
+class FileStore(StoreAdapter):
+    """A store whose entries are single files under ``root``.
+
+    Subclasses supply the live files (:meth:`_paths`), an entry's id
+    (:meth:`_entry_id`) and its integrity check (:meth:`_check`, or an
+    :meth:`audit` of their own); this class lists, audits, evicts and
+    garbage-collects them.  :meth:`gc` sweeps the ``tmp_glob`` temp
+    files under ``root`` and the corpses under ``root/quarantine``.
+    """
+
+    tmp_glob = "*/*.tmp*"
+
+    def __init__(self, root: "str | Path"):
+        self.root = Path(root)
+
+    def _paths(self) -> list[Path]:
+        raise NotImplementedError
+
+    def _entry_id(self, path: Path) -> str:
+        return path.stem
+
+    def _check(self, path: Path) -> "str | None":
+        """The failed check's name, ``None`` for a sound entry."""
+        raise NotImplementedError
+
+    def entries(self) -> list[StoreEntry]:
+        out = []
+        for path in self._paths():
+            try:
+                stat = path.stat()
+            except OSError:
+                continue
+            out.append(
+                StoreEntry(
+                    store=self.name,
+                    entry_id=self._entry_id(path),
+                    paths=(path,),
+                    size=stat.st_size,
+                    mtime=stat.st_mtime,
+                )
+            )
+        return out
+
+    def audit(self) -> list[Finding]:
+        findings = []
+        for path in self._paths():
+            problem = self._check(path)
+            if problem is not None:
+                findings.append(
+                    Finding(self.name, self._entry_id(path), str(path), problem)
+                )
+        return findings
+
+    def evict(self, entry: StoreEntry) -> int:
+        return sum(_rm(p) or 0 for p in entry.paths)
+
+    def gc(self, quarantine_ttl_s: "float | None" = None) -> list[Path]:
+        return _sweep_tmp(self.root, self.tmp_glob) + _sweep_quarantine(
+            self.root / "quarantine", quarantine_ttl_s, time.time()
+        )
 
 
 # -- fleet result cache -------------------------------------------------
 
 
-def verify_cache_entry(meta_path: Path) -> "str | None":
+def verify_cache_entry(path: Path) -> "str | None":
     """Integrity-check one cache entry without serving or mutating it.
 
     Runs :func:`repro.fleet.cache.read_entry`, the decoder behind
@@ -214,86 +277,32 @@ def verify_cache_entry(meta_path: Path) -> "str | None":
     check's name (``None`` for a sound entry) instead of quarantining.
     """
     try:
-        read_entry(meta_path)
+        read_entry(path)
     except CacheEntryError as exc:
         return str(exc)
     return None
 
 
-class FleetCacheStore(StoreAdapter):
+#: A file of the two-file entry layout older versions wrote:
+#: ``<key>.json`` metadata or ``<key>.bin`` blob, in the key's shard.
+_LEGACY_ENTRY = re.compile(r"[0-9a-f]{64}\.(json|bin)")
+
+
+class FleetCacheStore(FileStore):
     """Adapter over one content-addressed result-cache directory.
 
-    An entry is its ``<key>.json`` metadata and ``<key>.bin`` blob.  A
-    blob without metadata is an *orphan*: a put that died between its
-    two renames (a kill, or ENOSPC on the metadata write) or a deleted
-    ``.json``.  No lookup can reach it, so it is listed as an entry (its
-    bytes count toward eviction caps), audited as an ``orphan_blob``
-    warning, and removed by :meth:`gc`.
+    An entry is one ``<key>.entry`` file.  :meth:`gc` also removes the
+    ``<key>.json``/``<key>.bin`` files of the older two-file layout,
+    which no lookup reads.
     """
 
     name = "fleet-cache"
 
-    def __init__(self, root: "str | Path"):
-        self.root = Path(root)
+    def _paths(self) -> list[Path]:
+        return ResultCache(self.root).paths()
 
-    def _files(self, suffix: str) -> "dict[str, Path]":
-        """``key -> path`` of every live ``*<suffix>`` file."""
-        if not self.root.is_dir():
-            return {}
-        return {
-            p.stem: p
-            for p in self.root.glob(f"*/*{suffix}")
-            if p.parent.name != "quarantine" and ".tmp" not in p.name
-        }
-
-    def _metas(self) -> list[Path]:
-        return sorted(self._files(".json").values())
-
-    def _orphans(self) -> list[Path]:
-        """Blobs whose metadata file does not exist."""
-        metas = self._files(".json")
-        return sorted(
-            blob for key, blob in self._files(".bin").items() if key not in metas
-        )
-
-    def entries(self) -> list[StoreEntry]:
-        out = []
-        for path in self._metas() + self._orphans():
-            pair = (path.with_suffix(".json"), path.with_suffix(".bin"))
-            paths = tuple(p for p in pair if p.exists())
-            size = 0
-            mtime = 0.0
-            for p in paths:
-                try:
-                    stat = p.stat()
-                except OSError:
-                    continue
-                size += stat.st_size
-                mtime = max(mtime, stat.st_mtime)
-            out.append(
-                StoreEntry(
-                    store=self.name,
-                    entry_id=path.stem,
-                    paths=paths,
-                    size=size,
-                    mtime=mtime,
-                )
-            )
-        return out
-
-    def audit(self) -> list[Finding]:
-        findings = []
-        for meta in self._metas():
-            problem = verify_cache_entry(meta)
-            if problem is not None:
-                findings.append(
-                    Finding(self.name, meta.stem, str(meta), problem)
-                )
-        for blob in self._orphans():
-            findings.append(
-                Finding(self.name, blob.stem, str(blob), "orphan_blob", "warn")
-            )
-        return findings
+    def _check(self, path: Path) -> "str | None":
+        return verify_cache_entry(path)
 
     def repair(self) -> list[Finding]:
         """Quarantine corrupt entries via the cache's own machinery.
@@ -306,28 +315,20 @@ class FleetCacheStore(StoreAdapter):
         findings = self.audit()
         cache = ResultCache(self.root)
         for finding in findings:
-            if finding.severity != "corrupt":
-                continue  # an orphan blob is gc's to remove
             cache.get(finding.entry_id)
-            if not (self.root / finding.entry_id[:2]).joinpath(
-                f"{finding.entry_id}.json"
-            ).exists():
+            if not Path(finding.path).exists():
                 finding.action = "quarantined"
         return findings
 
-    def evict(self, entry: StoreEntry) -> int:
-        return sum(_rm(p) for p in entry.paths)
-
     def gc(self, quarantine_ttl_s: "float | None" = None) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        now = time.time()
-        removed = _sweep_tmp(self.root, "*/*.tmp*")
-        removed += [blob for blob in self._orphans() if _rm(blob)]
-        removed += _sweep_quarantine(
-            self.root / "quarantine", quarantine_ttl_s, now
-        )
-        return removed
+        legacy = [
+            path
+            for path in sorted(self.root.glob("*/*"))
+            if _LEGACY_ENTRY.fullmatch(path.name)
+            and path.name[:2] == path.parent.name
+        ]
+        removed = [path for path in legacy if _rm(path) is not None]
+        return super().gc(quarantine_ttl_s) + removed
 
 
 # -- serve results store ------------------------------------------------
@@ -342,7 +343,7 @@ def _journal_done(journal_path: Path) -> dict[str, dict[str, Any]]:
     }
 
 
-class ServeResultsStore(StoreAdapter):
+class ServeResultsStore(FileStore):
     """Adapter over a serve state directory's ``results/`` documents.
 
     Result documents carry no embedded checksum; their digests live in
@@ -354,44 +355,26 @@ class ServeResultsStore(StoreAdapter):
     """
 
     name = "serve-results"
+    tmp_glob = "results/*.tmp*"
 
     def __init__(self, state_root: "str | Path"):
-        self.root = Path(state_root)
+        super().__init__(state_root)
         self.results_dir = self.root / "results"
         self.journal_path = self.root / "journal.jsonl"
 
-    def _documents(self) -> list[Path]:
-        if not self.results_dir.is_dir():
-            return []
+    def _paths(self) -> list[Path]:
         return sorted(
             p
             for p in self.results_dir.glob("*.json")
             if ".tmp" not in p.name
         )
 
-    def entries(self) -> list[StoreEntry]:
-        out = []
-        for path in self._documents():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            out.append(
-                StoreEntry(
-                    store=self.name,
-                    entry_id=path.stem,
-                    paths=(path,),
-                    size=stat.st_size,
-                    mtime=stat.st_mtime,
-                )
-            )
-        return out
-
     def audit(self) -> list[Finding]:
+        """Re-digest every result against the journal's ``done`` record."""
         findings = []
         done = _journal_done(self.journal_path)
         seen = set()
-        for path in self._documents():
+        for path in self._paths():
             campaign_id = path.stem
             seen.add(campaign_id)
             try:
@@ -453,18 +436,6 @@ class ServeResultsStore(StoreAdapter):
                 finding.action = "quarantined"
         return findings
 
-    def evict(self, entry: StoreEntry) -> int:
-        return sum(_rm(p) for p in entry.paths)
-
-    def gc(self, quarantine_ttl_s: "float | None" = None) -> list[Path]:
-        removed = []
-        if self.results_dir.is_dir():
-            removed += _sweep_tmp(self.results_dir, "*.tmp*")
-        removed += _sweep_quarantine(
-            self.root / "quarantine", quarantine_ttl_s, time.time()
-        )
-        return removed
-
 
 # -- model registry -----------------------------------------------------
 
@@ -486,15 +457,12 @@ def verify_model_artifact(path: Path) -> "str | None":
     return None
 
 
-class ModelRegistryStore(StoreAdapter):
+class ModelRegistryStore(FileStore):
     """Adapter over a model registry directory."""
 
     name = "model-registry"
 
-    def __init__(self, root: "str | Path"):
-        self.root = Path(root)
-
-    def _artifacts(self) -> list[Path]:
+    def _paths(self) -> list[Path]:
         from repro.model.registry import _VERSION_RE
 
         if not self.root.is_dir():
@@ -508,31 +476,18 @@ class ModelRegistryStore(StoreAdapter):
                     out.append(path)
         return out
 
-    @staticmethod
-    def _entry_id(path: Path) -> str:
+    def _entry_id(self, path: Path) -> str:
         return f"{path.parent.name}@{path.stem}"
 
+    def _check(self, path: Path) -> "str | None":
+        return verify_model_artifact(path)
+
     def entries(self) -> list[StoreEntry]:
-        out = []
         latest: dict[str, Path] = {}
-        for path in self._artifacts():
+        for path in self._paths():
             latest[path.parent.name] = path  # sorted: last wins
-        for path in self._artifacts():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            out.append(
-                StoreEntry(
-                    store=self.name,
-                    entry_id=self._entry_id(path),
-                    paths=(path,),
-                    size=stat.st_size,
-                    mtime=stat.st_mtime,
-                )
-            )
         self._latest = {self._entry_id(p) for p in latest.values()}
-        return out
+        return super().entries()
 
     def protected(self, entry: StoreEntry) -> bool:
         """The newest version of every model name is never evicted."""
@@ -541,18 +496,6 @@ class ModelRegistryStore(StoreAdapter):
             self.entries()
             latest = self._latest
         return entry.entry_id in latest
-
-    def audit(self) -> list[Finding]:
-        findings = []
-        for path in self._artifacts():
-            problem = verify_model_artifact(path)
-            if problem is not None:
-                findings.append(
-                    Finding(
-                        self.name, self._entry_id(path), str(path), problem
-                    )
-                )
-        return findings
 
     def repair(self) -> list[Finding]:
         """Quarantine via the registry's own verification path."""
@@ -565,18 +508,6 @@ class ModelRegistryStore(StoreAdapter):
             if not Path(finding.path).exists():
                 finding.action = "quarantined"
         return findings
-
-    def evict(self, entry: StoreEntry) -> int:
-        return sum(_rm(p) for p in entry.paths)
-
-    def gc(self, quarantine_ttl_s: "float | None" = None) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        removed = _sweep_tmp(self.root, "*/*.tmp*")
-        removed += _sweep_quarantine(
-            self.root / "quarantine", quarantine_ttl_s, time.time()
-        )
-        return removed
 
 
 # -- JSONL journals (serve submit journal, shared event log) -----------
@@ -759,8 +690,3 @@ def serve_state_stores(root: "str | Path") -> list[StoreAdapter]:
         ),
         JournalStore(root / "events.jsonl", name="serve-events"),
     ]
-
-
-def iter_stores(stores: "Iterable[StoreAdapter]") -> list[StoreAdapter]:
-    """Materialise and sanity-order a store collection (stable by name)."""
-    return sorted(stores, key=lambda s: s.name)

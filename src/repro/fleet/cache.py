@@ -8,28 +8,29 @@ the cache key is the SHA-256 of the canonical JSON of exactly those
 inputs plus a code-version salt, and a hit can be substituted for a run
 bit-for-bit.
 
-Entries live under ``<root>/<key[:2]>/`` as two files.  ``<key>.json``
-holds the salt, wall time, demand, array offsets, the blob's length and
-SHA-256, and ``meta_sha256``, the SHA-256 of the document itself.
-``<key>.bin`` holds every sample array as raw little-endian float64: the
+Each entry is one file, ``<root>/<key[:2]>/<key>.entry``.  Its first
+line is the metadata: one canonical-JSON document holding the salt,
+wall time, demand, array offsets, the blob's length and SHA-256, and
+``meta_sha256``, the SHA-256 of the document itself.  After the newline
+comes the blob: every sample array as raw little-endian float64, the
 four traces, then the eight columns of ``RunResult.pmu``.  Power traces
 can run to hundreds of thousands of 1 Hz samples (a full-memory HPL
 run), and reading raw float64 back through ``np.frombuffer`` is an order
 of magnitude faster than parsing digits out of JSON — which is what
 makes a warm campaign run >= 10x faster than re-simulating.
 
-Durability contract: both files are written via temp file + ``fsync`` +
-``os.replace`` (blob before metadata, so the metadata's existence
-implies a complete entry).  Every read goes through :func:`read_entry`,
-the one decoder, which checks the metadata against its own checksum,
-the blob against the recorded length and checksum, and every array
-against the blob before a single float is trusted.  An entry that fails
-— a bit flip, a torn write from a pre-fsync crash, a foreign file — is
-*quarantined* by :meth:`ResultCache.get` (moved under
-``<root>/quarantine/``) rather than served, so corruption costs one
-recomputation, never a wrong number.  ``repro doctor audit`` runs the
-same decoder and only reports the problem.  The chaos harness
-(``python -m repro chaos``) injects exactly these damages to prove it.
+Durability contract: an entry is written via one temp file + ``fsync``
++ ``os.replace``, so it is either absent or complete.  Every read goes
+through :func:`read_entry`, the one decoder, which checks the metadata
+against its own checksum, the blob against the recorded length and
+checksum, and every array against the blob before a single float is
+trusted.  An entry that fails — a bit flip, a torn write from a
+pre-fsync crash, a foreign file — is *quarantined* by
+:meth:`ResultCache.get` (moved under ``<root>/quarantine/``) rather than
+served, so corruption costs one recomputation, never a wrong number.
+``repro doctor audit`` runs the same decoder and only reports the
+problem.  The chaos harness (``python -m repro chaos``) injects exactly
+these damages to prove it.
 """
 
 from __future__ import annotations
@@ -60,13 +61,19 @@ __all__ = [
     "ResultCache",
 ]
 
-#: Bump when a simulator or entry-format change invalidates previously
-#: cached results.  v3: checksummed blobs (``blob_sha256``/``blob_len``
-#: are mandatory).  v4: checksummed metadata (``meta_sha256``), so an
-#: entry whose metadata cannot be verified is never served.
+#: Versions results and keys: bump when a simulator or codec change
+#: invalidates previously cached results.  v3: checksummed blobs
+#: (``blob_sha256``/``blob_len`` are mandatory).  v4: checksummed
+#: metadata (``meta_sha256``), so an entry whose metadata cannot be
+#: verified is never served.  The file layout is versioned by
+#: :data:`_SUFFIX` instead: the two-file ``.json``/``.bin`` entries of
+#: older versions are never looked up.
 CACHE_SALT = "repro-fleet-cache-v4"
 
 _ENTRY_KIND = "fleet_cache_entry"
+
+#: Suffix of an entry file: metadata line, newline, blob.
+_SUFFIX = ".entry"
 
 
 def _normalise(value: Any) -> Any:
@@ -204,7 +211,7 @@ class CacheHit:
 
 
 def read_entry(path: Path) -> CacheHit:
-    """Read, verify and decode the entry whose metadata file is ``path``.
+    """Read, verify and decode the entry file at ``path``.
 
     The one decoder behind :meth:`ResultCache.get` (which quarantines
     what it rejects) and ``repro doctor audit`` (which only reports it);
@@ -212,10 +219,17 @@ def read_entry(path: Path) -> CacheHit:
     first check the entry fails, e.g. ``metadata_checksum_mismatch``.
     """
     try:
-        data = json.loads(path.read_bytes())
+        raw = path.read_bytes()
     except FileNotFoundError:
         raise CacheEntryError("missing_metadata") from None
-    except (OSError, ValueError):
+    except OSError:
+        raise CacheEntryError("unreadable_metadata") from None
+    end = raw.find(b"\n")
+    if end < 0:
+        end = len(raw)
+    try:
+        data = json.loads(raw[:end])
+    except ValueError:
         raise CacheEntryError("unreadable_metadata") from None
     if not isinstance(data, dict):
         raise CacheEntryError("malformed_metadata")
@@ -225,10 +239,8 @@ def read_entry(path: Path) -> CacheHit:
         raise CacheEntryError("stale_salt")
     if data.get("meta_sha256") != _meta_sha256(data):
         raise CacheEntryError("metadata_checksum_mismatch")
-    try:
-        blob = path.with_suffix(".bin").read_bytes()
-    except OSError:
-        raise CacheEntryError("missing_blob") from None
+    start = end + 1
+    blob = memoryview(raw)[start:]
     try:
         if len(blob) != data["blob_len"]:
             raise CacheEntryError("blob_length_mismatch")
@@ -239,7 +251,7 @@ def read_entry(path: Path) -> CacheHit:
             if offset < 0 or offset + count * 8 > len(blob):
                 raise CacheEntryError(f"array_out_of_bounds:{name}")
             arrays[name] = np.frombuffer(
-                blob, dtype="<f8", count=count, offset=offset
+                raw, dtype="<f8", count=count, offset=start + offset
             )
         return CacheHit(
             result=_result_from_arrays(data["result"], arrays),
@@ -260,15 +272,15 @@ class ResultCache:
         self.root = Path(self.root)
 
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return self.root / key[:2] / f"{key}{_SUFFIX}"
 
-    def contains(self, key: str) -> bool:
-        """Whether an entry exists on disk, without loading or verifying.
-
-        A cheap existence probe for resume planning; :meth:`get` still
-        performs the full integrity check before the entry is served.
-        """
-        return self._path(key).exists()
+    def paths(self) -> list[Path]:
+        """The live entry files, sorted (quarantine excluded)."""
+        return sorted(
+            p
+            for p in self.root.glob(f"*/*{_SUFFIX}")
+            if p.parent.name != "quarantine"
+        )
 
     def get(self, key: str) -> "CacheHit | None":
         """Look up a key; unverifiable entries are quarantined misses.
@@ -289,7 +301,7 @@ class ResultCache:
             return None
         self.stats.hits += 1
         obs.inc("fleet.cache.hit")
-        # Touch the metadata so eviction's LRU order reflects *use*,
+        # Touch the entry so eviction's LRU order reflects *use*,
         # not just write time (``repro doctor evict``).  Best-effort:
         # a read-only mount must not turn a hit into an error.
         try:
@@ -310,28 +322,26 @@ class ResultCache:
         self._miss()
 
     def _quarantine(self, path: Path) -> None:
-        """Move a damaged entry (metadata + blob) out of the lookup path.
+        """Move a damaged entry file out of the lookup path.
 
         Corpses land under ``<root>/quarantine/`` as
-        ``<key>.q<seq>-<pid>.<ext>`` (:func:`repro.doctor.safewrite.
+        ``<key>.q<seq>-<pid>.entry`` (:func:`repro.doctor.safewrite.
         quarantine`), so a same-key re-quarantine never overwrites an
         earlier corpse.  Failure to move (e.g. a permissions race) falls
         back to leaving the entry in place — it will simply keep
         counting as corrupt, never as a hit.
         """
-        if safewrite.quarantine(
-            self.root / "quarantine", path.stem, path, path.with_suffix(".bin")
-        ):
+        if safewrite.quarantine(self.root / "quarantine", path.stem, path):
             self.stats.quarantined += 1
             obs.inc("fleet.cache.quarantined")
 
     def put(
         self, key: str, result: RunResult, wall_s: float
     ) -> "Path | None":
-        """Store a result atomically and return its metadata path.
+        """Store a result atomically and return its entry path.
 
-        Both files go through temp file + ``fsync`` + ``os.replace``,
-        blob before metadata: a kill at *any* instant leaves either the
+        The entry goes through one temp file + ``fsync`` +
+        ``os.replace``: a kill at *any* instant leaves either the
         previous complete entry, no entry, or the new complete entry —
         never a half-written one.  The metadata records the blob's
         length and SHA-256, which :meth:`get` re-verifies, so even a
@@ -339,10 +349,9 @@ class ResultCache:
         disk) is caught rather than served.
 
         A capacity/media failure (ENOSPC, EIO) *degrades*: the write is
-        dropped (counted in ``stats.degraded``), any partial blob is
-        left invisible (no metadata file ever names it), and ``None``
-        is returned — the cache is an optimization, and a full disk
-        must cost a recomputation, not a crashed worker.
+        dropped (counted in ``stats.degraded``), the temp file removed,
+        and ``None`` is returned — the cache is an optimization, and a
+        full disk must cost a recomputation, not a crashed worker.
         """
         try:
             return self._put(key, result, wall_s)
@@ -363,48 +372,34 @@ class ResultCache:
         meta = _result_meta(result)
         offsets: dict[str, tuple[int, int]] = {}
         chunks = []
+        blob_sha256 = hashlib.sha256()
         offset = 0
         for name, values in _result_arrays(result).items():
             raw = values.tobytes()
             offsets[name] = (offset, len(values))
             chunks.append(raw)
+            blob_sha256.update(raw)
             offset += len(raw)
         meta["arrays"] = offsets
-        blob = b"".join(chunks)
         document = {
             "kind": _ENTRY_KIND,
             "salt": CACHE_SALT,
             "key": key,
             "wall_s": wall_s,
-            "blob_len": len(blob),
-            "blob_sha256": hashlib.sha256(blob).hexdigest(),
+            "blob_len": offset,
+            "blob_sha256": blob_sha256.hexdigest(),
             "result": meta,
         }
         document["meta_sha256"] = _meta_sha256(document)
-        bin_path = path.with_suffix(".bin")
-        self._write_atomic(
-            bin_path.with_suffix(f".tmpb.{os.getpid()}"), bin_path, blob
-        )
-        self._write_atomic(
+        safewrite.write_atomic(
             path.with_suffix(f".tmp.{os.getpid()}"),
             path,
-            _entry_bytes(document),
+            b"".join([_entry_bytes(document), b"\n", *chunks]),
         )
         self.stats.writes += 1
         obs.inc("fleet.cache.write")
         return path
 
-    @staticmethod
-    def _write_atomic(tmp: Path, dest: Path, payload: bytes) -> None:
-        """Durable atomic write via the shared ENOSPC-aware layer."""
-        safewrite.write_atomic(tmp, dest, payload)
-
     def __len__(self) -> int:
         """Number of live entries on disk (quarantine excluded)."""
-        if not self.root.exists():
-            return 0
-        return sum(
-            1
-            for p in self.root.glob("*/*.json")
-            if p.parent.name != "quarantine"
-        )
+        return len(self.paths())

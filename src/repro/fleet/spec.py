@@ -22,7 +22,7 @@ from typing import Any
 
 from repro import io as repro_io
 from repro.demand import ResourceDemand
-from repro.errors import ConfigurationError, WorkloadError
+from repro.errors import ConfigurationError, ReproError, WorkloadError
 from repro.hardware.specs import BUILTIN_SERVERS, ServerSpec, get_server
 from repro.workloads.base import Workload
 from repro.workloads.hpcc import HpccWorkload
@@ -97,32 +97,50 @@ def workload_to_dict(workload: "Workload | ResourceDemand") -> dict[str, Any]:
 
 
 def workload_from_dict(data: dict[str, Any]) -> "Workload | ResourceDemand":
-    """Inverse of :func:`workload_to_dict`."""
+    """Inverse of :func:`workload_to_dict`.
+
+    Campaign documents are outside input: a missing field or a bad
+    value raises :class:`ConfigurationError` naming the workload, like
+    an unknown type.
+    """
     kind = data.get("type")
-    if kind == "idle":
-        return ResourceDemand.idle(float(data["duration_s"]))
-    if kind == "demand":
-        fields = {k: v for k, v in data.items() if k != "type"}
-        fields["nprocs"] = int(fields["nprocs"])
-        return ResourceDemand(**fields)
-    if kind == "npb":
-        return NpbWorkload(data["program"], data["class"], int(data["nprocs"]))
-    if kind == "hpl":
-        return HplWorkload(
-            HplConfig(
-                nprocs=int(data["nprocs"]),
-                memory_fraction=float(data["memory_fraction"]),
-                nb=int(data.get("nb", 200)),
-                p=data.get("p"),
-                q=data.get("q"),
+    try:
+        if kind == "idle":
+            return ResourceDemand.idle(float(data["duration_s"]))
+        if kind == "demand":
+            fields = {k: v for k, v in data.items() if k != "type"}
+            fields["nprocs"] = int(fields["nprocs"])
+            return ResourceDemand(**fields)
+        if kind == "npb":
+            return NpbWorkload(
+                data["program"], data["class"], int(data["nprocs"])
             )
-        )
-    if kind == "specpower":
-        return SpecPowerWorkload(
-            SpecPowerLevel(data["level"], float(data["load"]))
-        )
-    if kind == "hpcc":
-        return HpccWorkload(str(data["component"]), int(data["nprocs"]))
+        if kind == "hpl":
+            return HplWorkload(
+                HplConfig(
+                    nprocs=int(data["nprocs"]),
+                    memory_fraction=float(data["memory_fraction"]),
+                    nb=int(data.get("nb", 200)),
+                    p=data.get("p"),
+                    q=data.get("q"),
+                )
+            )
+        if kind == "specpower":
+            return SpecPowerWorkload(
+                SpecPowerLevel(data["level"], float(data["load"]))
+            )
+        if kind == "hpcc":
+            return HpccWorkload(str(data["component"]), int(data["nprocs"]))
+    except ReproError:
+        raise
+    except KeyError as exc:
+        raise ConfigurationError(
+            f"workload {data} has no field {exc.args[0]!r}"
+        ) from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"workload {data} has a bad value: {exc}"
+        ) from None
     raise ConfigurationError(f"unknown workload type {kind!r}")
 
 

@@ -125,7 +125,7 @@ class TestCacheInjectors:
         victim = faults.flip_cache_bit(
             warm_cache.root, faults.fault_rng(1, "b")
         )
-        assert victim.suffix == ".bin"
+        assert victim.suffix == ".entry"
         assert warm_cache.get("ab" + "0" * 62) is None
         assert warm_cache.stats.quarantined == 1
 

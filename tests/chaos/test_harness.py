@@ -69,6 +69,12 @@ class TestFastScenarios:
         assert verdict.outcome == "recovered"
         assert "quarantined" in verdict.detail
 
+    def test_disk_full_lands_one_entry_then_heals(self):
+        report = run_chaos(seed=2015, only=["disk-full"])
+        (verdict,) = report.verdicts
+        assert verdict.outcome == "recovered", verdict.detail
+        assert verdict.detail.startswith("4 write(s) shed")
+
     def test_campaign_resume_is_bit_identical(self):
         report = run_chaos(seed=2015, only=["campaign-resume"])
         (verdict,) = report.verdicts

@@ -162,10 +162,8 @@ class TestFleetCacheEviction:
         cache = ResultCache(tmp_path / "cache")
         keys = [f"{i:02d}" + "e" * 62 for i in range(3)]
         for i, key in enumerate(keys):
-            cache.put(key, run_result, wall_s=0.1)
-            meta = cache.root / key[:2] / f"{key}.json"
-            os.utime(meta, (100.0 * (i + 1), 100.0 * (i + 1)))
-            os.utime(meta.with_suffix(".bin"), (100.0 * (i + 1),) * 2)
+            entry = cache.put(key, run_result, wall_s=0.1)
+            os.utime(entry, (100.0 * (i + 1), 100.0 * (i + 1)))
 
         report = evict_store(
             FleetCacheStore(cache.root), EvictionPolicy(max_entries=1)

@@ -10,8 +10,6 @@ or compacted and the survivors are untouched.
 import hashlib
 import json
 
-from repro.doctor import safewrite
-from repro.doctor.engine import EvictionPolicy, evict_store
 from repro.doctor.stores import (
     SUBMIT_JOURNAL_KINDS,
     FleetCacheStore,
@@ -58,34 +56,33 @@ class TestFleetCacheStore:
         self, tmp_path, run_result
     ):
         cache = _cache_with_entries(tmp_path, run_result)
-        blob = cache.root / _KEY_A[:2] / f"{_KEY_A}.bin"
-        raw = bytearray(blob.read_bytes())
-        raw[len(raw) // 2] ^= 1
-        blob.write_bytes(bytes(raw))
+        entry = cache.root / _KEY_A[:2] / f"{_KEY_A}.entry"
+        raw = bytearray(entry.read_bytes())
+        raw[-1] ^= 1  # the blob's last byte
+        entry.write_bytes(bytes(raw))
 
         store = FleetCacheStore(cache.root)
         (finding,) = store.audit()
         assert finding.entry_id == _KEY_A
         assert finding.problem == "blob_checksum_mismatch"
         assert finding.severity == "corrupt"
-        assert blob.exists()  # audit is read-only
+        assert entry.exists()  # audit is read-only
 
     def test_repair_quarantines_through_the_cache_itself(
         self, tmp_path, run_result
     ):
         cache = _cache_with_entries(tmp_path, run_result)
-        meta = cache.root / _KEY_A[:2] / f"{_KEY_A}.json"
-        blob = meta.with_suffix(".bin")
-        blob.write_bytes(b"")
+        entry = cache.root / _KEY_A[:2] / f"{_KEY_A}.entry"
+        entry.write_bytes(entry.read_bytes().partition(b"\n")[0])
 
         store = FleetCacheStore(cache.root)
         (finding,) = store.repair()
         assert finding.action == "quarantined"
-        assert not meta.exists() and not blob.exists()
+        assert not entry.exists()
         assert list((cache.root / "quarantine").iterdir())
         # The healthy entry survived the repair bit-for-bit.
         assert verify_cache_entry(
-            cache.root / _KEY_B[:2] / f"{_KEY_B}.json"
+            cache.root / _KEY_B[:2] / f"{_KEY_B}.entry"
         ) is None
 
     def test_gc_sweeps_tmp_debris_and_expired_corpses(
@@ -107,58 +104,37 @@ class TestFleetCacheStore:
         assert not corpse.exists()
         assert store.audit() == []
 
+    def test_gc_reports_the_empty_files_it_removes(self, tmp_path):
+        root = tmp_path / "cache"
+        debris = root / "ab" / "k.json.tmp.1"
+        corpse = root / "quarantine" / "x.q1.json"
+        for path in (debris, corpse):
+            path.parent.mkdir(parents=True)
+            path.write_bytes(b"")
+        assert sorted(FleetCacheStore(root).gc()) == sorted([debris, corpse])
+        assert not debris.exists() and not corpse.exists()
 
-class TestOrphanBlobs:
-    """A blob whose metadata never landed (or was deleted) is invisible
-    to every lookup; the doctor must still see it and reclaim it."""
-
-    def _orphan(self, tmp_path, run_result):
-        cache = _cache_with_entries(tmp_path, run_result)
-        key = "cc" + "0" * 62
-        # The blob write spends the only token; the metadata write hits
-        # ENOSPC, and put degrades, leaving the blob behind.
-        safewrite.inject_disk_full(budget=1)
-        try:
-            assert cache.put(key, run_result, wall_s=0.3) is None
-        finally:
-            safewrite.clear_disk_fault()
-        blob = cache.root / key[:2] / f"{key}.bin"
-        assert blob.exists() and not blob.with_suffix(".json").exists()
-        return FleetCacheStore(cache.root), key, blob
-
-    def test_audit_warns_and_gc_removes_it(self, tmp_path, run_result):
-        store, key, blob = self._orphan(tmp_path, run_result)
-        ids = sorted(e.entry_id for e in store.entries())
-        assert ids == [_KEY_A, _KEY_B, key]
-        (finding,) = store.audit()
-        assert (finding.entry_id, finding.problem, finding.severity) == (
-            key,
-            "orphan_blob",
-            "warn",
-        )
-        assert blob.exists()  # audit is read-only
-        (repaired,) = store.repair()
-        assert repaired.action == "" and blob.exists()  # gc's to remove
-        assert store.gc() == [blob]
-        assert not blob.exists()
-        assert store.audit() == []
-
-    def test_a_deleted_metadata_file_leaves_an_orphan(
+    def test_gc_removes_a_two_file_entry_of_an_older_version(
         self, tmp_path, run_result
     ):
+        """No lookup reads the ``<key>.json``/``<key>.bin`` layout; gc
+        removes such files and nothing that is not named like one."""
         cache = _cache_with_entries(tmp_path, run_result)
-        meta = cache.root / _KEY_A[:2] / f"{_KEY_A}.json"
-        meta.unlink()
-        store = FleetCacheStore(cache.root)
-        assert [f.problem for f in store.audit()] == ["orphan_blob"]
-        assert store.gc() == [meta.with_suffix(".bin")]
+        key = "cc" + "0" * 62
+        shard = cache.root / key[:2]
+        shard.mkdir()
+        legacy = [shard / f"{key}.json", shard / f"{key}.bin"]
+        strays = [shard / "notes.json", cache.root / "aa" / f"{key}.bin"]
+        for path in legacy + strays:
+            path.write_bytes(b"{}")
 
-    def test_eviction_counts_and_removes_it(self, tmp_path, run_result):
-        store, _key, blob = self._orphan(tmp_path, run_result)
-        report = evict_store(store, EvictionPolicy(max_entries=0))
-        assert report.examined == 3
-        assert not blob.exists()
-        assert store.entries() == []
+        store = FleetCacheStore(cache.root)
+        assert sorted(e.entry_id for e in store.entries()) == [_KEY_A, _KEY_B]
+        assert store.audit() == []
+        assert sorted(store.gc()) == sorted(legacy)
+        assert not any(path.exists() for path in legacy)
+        assert all(path.exists() for path in strays)
+        assert len(cache) == 2
 
 
 def _state_with_result(tmp_path):

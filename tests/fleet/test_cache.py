@@ -22,6 +22,12 @@ def run_result():
     return Simulator(XEON_E5462, seed=3).run(NpbWorkload("ep", "C", 4))
 
 
+def _split(entry):
+    """An entry file's metadata line and blob bytes."""
+    header, _newline, blob = entry.read_bytes().partition(b"\n")
+    return header, blob
+
+
 class TestCacheKey:
     def test_stable_under_dict_build_order(self):
         """The dict-ordering hazard: structurally equal specs built in
@@ -121,36 +127,42 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "cache")
         key = "0a" + "3" * 62
         path = cache.put(key, run_result, wall_s=0.1)
-        data = json.loads(path.read_text())
+        header, blob = _split(path)
+        data = json.loads(header)
         data["salt"] = "repro-fleet-cache-v0"
-        path.write_text(json.dumps(data))
+        path.write_bytes(json.dumps(data).encode() + b"\n" + blob)
         assert cache.get(key) is None
 
 
 class TestCacheIntegrity:
-    def test_contains_is_a_cheap_probe(self, tmp_path, run_result):
+    def test_put_is_one_durable_write(self, tmp_path, run_result, monkeypatch):
+        """One put is one temp file, one fsync and one rename, and the
+        shard holds one file for the key."""
+        from repro.doctor import safewrite
+
+        written = []
+        write_atomic = safewrite.write_atomic
+
+        def counting(tmp, dest, payload):
+            written.append(dest)
+            write_atomic(tmp, dest, payload)
+
+        monkeypatch.setattr(safewrite, "write_atomic", counting)
         cache = ResultCache(tmp_path / "cache")
-        key = "12" + "4" * 62
-        assert not cache.contains(key)
-        cache.put(key, run_result, wall_s=0.1)
-        assert cache.contains(key)
-        assert cache.stats.hits == 0  # contains() never loads
+        path = cache.put("13" + "4" * 62, run_result, wall_s=0.1)
+        assert written == [path]
+        assert list(path.parent.iterdir()) == [path]
 
     def test_flipped_blob_bit_is_quarantined(self, tmp_path, run_result):
         cache = ResultCache(tmp_path / "cache")
         key = "34" + "5" * 62
         path = cache.put(key, run_result, wall_s=0.1)
-        blob_path = path.with_suffix(".bin")
-        raw = bytearray(blob_path.read_bytes())
-        raw[len(raw) // 2] ^= 0x01
-        blob_path.write_bytes(bytes(raw))
+        _flipped_blob_bit(path)
         assert cache.get(key) is None
         assert cache.stats.quarantined == 1
         quarantine = cache.root / "quarantine"
-        corpses = sorted(p.name for p in quarantine.iterdir())
-        assert len(corpses) == 2
-        assert all(name.startswith(key) for name in corpses)
-        assert {p.rsplit(".", 1)[-1] for p in corpses} == {"json", "bin"}
+        (corpse,) = (p.name for p in quarantine.iterdir())
+        assert corpse.startswith(key) and corpse.endswith(".entry")
         # The damaged entry no longer counts as live and a fresh write
         # heals the slot.
         assert len(cache) == 0
@@ -168,20 +180,18 @@ class TestCacheIntegrity:
         key = "de" + "a" * 62
         for _round in range(3):
             path = cache.put(key, run_result, wall_s=0.1)
-            path.with_suffix(".bin").write_text("garbage")
+            path.write_text("garbage")
             assert cache.get(key) is None
         assert cache.stats.quarantined == 3
         corpses = list((cache.root / "quarantine").iterdir())
-        assert len(corpses) == 6  # 3 damage events x (json + bin)
-        assert len({p.name for p in corpses}) == 6  # all names unique
+        assert len(corpses) == 3  # one file per damage event
+        assert len({p.name for p in corpses}) == 3  # all names unique
 
     def test_torn_blob_is_quarantined(self, tmp_path, run_result):
         cache = ResultCache(tmp_path / "cache")
         key = "56" + "6" * 62
         path = cache.put(key, run_result, wall_s=0.1)
-        blob_path = path.with_suffix(".bin")
-        raw = blob_path.read_bytes()
-        blob_path.write_bytes(raw[: len(raw) // 2])
+        _torn_blob(path)
         assert cache.get(key) is None
         assert cache.stats.quarantined == 1
 
@@ -194,11 +204,11 @@ class TestCacheIntegrity:
         key = "bc" + "9" * 62
         path_a = ResultCache(tmp_path / "a").put(key, run_result, wall_s=0.5)
         path_b = ResultCache(tmp_path / "b").put(key, run_result, wall_s=0.5)
-        raw = path_a.read_bytes()
-        assert raw == path_b.read_bytes()
+        assert path_a.read_bytes() == path_b.read_bytes()
         # Canonical form: sorted keys, no whitespace after separators.
-        document = json.loads(raw)
-        assert raw == json.dumps(
+        header, _blob = _split(path_a)
+        document = json.loads(header)
+        assert header == json.dumps(
             document, sort_keys=True, separators=(",", ":")
         ).encode()
         # ...and a round-trip through the reader serves the entry intact.
@@ -211,22 +221,23 @@ class TestCacheIntegrity:
         good, bad = "78" + "7" * 62, "9a" + "8" * 62
         cache.put(good, run_result, wall_s=0.1)
         path = cache.put(bad, run_result, wall_s=0.1)
-        path.with_suffix(".bin").write_text("garbage")
+        path.write_text("garbage")
         assert len(cache) == 2
         assert cache.get(bad) is None
         assert len(cache) == 1
         assert cache.get(good) is not None
 
 
-def _resign(meta, edit):
+def _resign(entry, edit):
     """Apply ``edit`` to an entry's metadata document and re-sign it, so
     the entry shows only the planted damage and not a stale checksum."""
-    document = json.loads(meta.read_text())
+    header, blob = _split(entry)
+    document = json.loads(header)
     edit(document)
     document.pop("meta_sha256", None)
     body = json.dumps(document, sort_keys=True, separators=(",", ":"))
     document["meta_sha256"] = hashlib.sha256(body.encode()).hexdigest()
-    meta.write_text(json.dumps(document))
+    entry.write_bytes(json.dumps(document).encode() + b"\n" + blob)
 
 
 def _set_array(name, grow):
@@ -237,47 +248,43 @@ def _set_array(name, grow):
     return edit
 
 
-def _non_object_metadata(meta):
-    meta.write_text("[1, 2, 3]")
+def _non_object_metadata(entry):
+    entry.write_bytes(b"[1, 2, 3]\n" + _split(entry)[1])
 
 
-def _wrong_kind(meta):
-    _resign(meta, lambda document: document.update(kind="something_else"))
+def _wrong_kind(entry):
+    _resign(entry, lambda document: document.update(kind="something_else"))
 
 
-def _stale_salt(meta):
-    _resign(meta, lambda document: document.update(salt="repro-cache-v0"))
+def _stale_salt(entry):
+    _resign(entry, lambda document: document.update(salt="repro-cache-v0"))
 
 
-def _missing_blob(meta):
-    meta.with_suffix(".bin").unlink()
+def _torn_blob(entry):
+    header, blob = _split(entry)
+    entry.write_bytes(header + b"\n" + blob[: len(blob) // 2])
 
 
-def _torn_blob(meta):
-    blob = meta.with_suffix(".bin")
-    raw = blob.read_bytes()
-    blob.write_bytes(raw[: len(raw) // 2])
-
-
-def _flipped_blob_bit(meta):
-    blob = meta.with_suffix(".bin")
-    raw = bytearray(blob.read_bytes())
+def _flipped_blob_bit(entry):
+    header, blob = _split(entry)
+    raw = bytearray(blob)
     raw[len(raw) // 2] ^= 0x01
-    blob.write_bytes(bytes(raw))
+    entry.write_bytes(header + b"\n" + bytes(raw))
 
 
-def _array_out_of_bounds(meta):
-    _resign(meta, _set_array("memory_mb", 1000))
+def _array_out_of_bounds(entry):
+    _resign(entry, _set_array("memory_mb", 1000))
 
 
-def _array_count_one_short(meta):
-    _resign(meta, _set_array("measured_watts", -1))
+def _array_count_one_short(entry):
+    _resign(entry, _set_array("measured_watts", -1))
 
 
-def _flipped_metadata_digit(meta):
-    raw = meta.read_text()
-    assert '"gflops":0.1237' in raw
-    meta.write_text(raw.replace('"gflops":0.1237', '"gflops":9.1237'))
+def _flipped_metadata_digit(entry):
+    header, blob = _split(entry)
+    assert b'"gflops":0.1237' in header
+    header = header.replace(b'"gflops":0.1237', b'"gflops":9.1237')
+    entry.write_bytes(header + b"\n" + blob)
 
 
 def _snapshot(root):
@@ -294,7 +301,6 @@ def _snapshot(root):
         (_non_object_metadata, "malformed_metadata"),
         (_wrong_kind, "wrong_kind"),
         (_stale_salt, "stale_salt"),
-        (_missing_blob, "missing_blob"),
         (_torn_blob, "blob_length_mismatch"),
         (_flipped_blob_bit, "blob_checksum_mismatch"),
         (_array_out_of_bounds, "array_out_of_bounds:memory_mb"),
@@ -310,12 +316,12 @@ def test_one_decoder_rejects_every_damage(
     names the damage and touches nothing, and a lookup quarantines it."""
     cache = ResultCache(tmp_path / "cache")
     key = "77" + "0" * 62
-    meta = cache.put(key, run_result, wall_s=0.25)
-    damage(meta)
+    entry = cache.put(key, run_result, wall_s=0.25)
+    damage(entry)
     before = _snapshot(cache.root)
-    assert verify_cache_entry(meta) == problem
+    assert verify_cache_entry(entry) == problem
     assert _snapshot(cache.root) == before
     assert cache.get(key) is None
     assert cache.stats.hits == 0
     assert cache.stats.quarantined == 1
-    assert not meta.exists() and not meta.with_suffix(".bin").exists()
+    assert not entry.exists()

@@ -56,6 +56,21 @@ class TestWorkloadSerialisation:
         with pytest.raises(ConfigurationError):
             workload_from_dict({"type": "mystery"})
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"type": "npb", "program": "ep", "nprocs": 4}, "no field 'class'"),
+            (
+                {"type": "npb", "program": "ep", "class": "C", "nprocs": "4x"},
+                "bad value",
+            ),
+            ({"type": "demand", "program": "x", "nprocs": 1}, "bad value"),
+        ],
+    )
+    def test_malformed_workload_rejected(self, data, message):
+        with pytest.raises(ConfigurationError, match=message):
+            workload_from_dict(data)
+
 
 class TestFleetJob:
     def test_job_id_is_content_based(self):

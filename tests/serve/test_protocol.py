@@ -121,6 +121,22 @@ class TestParseSubmission:
             parse_submission({"campaign": {"kind": "nonsense"}}, None)
         assert exc.value.code == "invalid_campaign"
 
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            {"type": "npb", "program": "ep", "nprocs": 4},
+            {"type": "npb", "program": "ep", "class": "C", "nprocs": "four"},
+        ],
+    )
+    def test_malformed_campaign_workload_is_400(self, workload):
+        from repro.fleet import campaign_to_dict, demo_campaign
+
+        doc = campaign_to_dict(demo_campaign())
+        doc["workloads"] = [workload]
+        with pytest.raises(HttpError) as exc:
+            parse_submission({"campaign": doc}, None)
+        assert (exc.value.status, exc.value.code) == (400, "invalid_campaign")
+
     def test_fleet_kind_roundtrips(self):
         from repro.fleet import campaign_to_dict, demo_campaign
 
