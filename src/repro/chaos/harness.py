@@ -550,13 +550,12 @@ def _scenario_campaign_resume(seed: int) -> ScenarioVerdict:
 def _scenario_partial_matrix(seed: int) -> ScenarioVerdict:
     """A dead state must degrade the evaluation, flagged — not abort it."""
     from repro.core.evaluation import evaluate_server
-    from repro.fleet import FaultInjection, FleetBackend, RetryPolicy
+    from repro.fleet import FaultInjection, FleetRunner, RetryPolicy
     from repro.hardware.specs import get_server
 
     server = get_server("Xeon-E5462")
-    backend = FleetBackend(
+    backend = FleetRunner(
         workers=1,
-        strict=False,
         retry=RetryPolicy(max_attempts=2, backoff_s=0.0),
         fault=FaultInjection("HPL P4", fail_attempts=99),
     )

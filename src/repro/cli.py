@@ -1509,7 +1509,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             repro_io.load_json(args.campaign)
         )
         backend = (
-            fleet.FleetBackend(workers=args.workers)
+            fleet.FleetRunner(workers=args.workers)
             if args.workers is not None
             else None
         )

@@ -116,7 +116,7 @@ def simulate_cluster(
     """Schedule ``jobs`` on ``cluster`` and simulate machine power.
 
     ``backend`` routes the unique per-node runs through a
-    :class:`repro.fleet.FleetBackend` (process pool + cache); otherwise
+    :class:`repro.fleet.FleetRunner` (process pool + cache); otherwise
     they run locally through :func:`~repro.engine.batch.run_batch`.  Both
     paths produce bit-identical per-job rows — the differential suite compares a
     1-node run against :func:`repro.core.evaluation.evaluate_server`

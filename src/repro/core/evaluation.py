@@ -143,9 +143,10 @@ def evaluate_server(
     paper's ten-row matrix from :func:`evaluation_states`.
 
     ``backend`` optionally routes the ten runs through a batch executor
-    such as :class:`repro.fleet.FleetBackend` (parallel and/or cached);
-    otherwise they run locally through
-    :func:`~repro.engine.batch.run_batch`.  Every path yields
+    such as :class:`repro.fleet.FleetRunner` (parallel and/or cached),
+    or scores the runs of a campaign that already ran
+    (:class:`repro.fleet.FleetOutcome`); otherwise they run locally
+    through :func:`~repro.engine.batch.run_batch`.  Every path yields
     bit-identical rows — the simulator seeds each run from ``(seed,
     program label)``, never from execution order.
 
@@ -156,16 +157,20 @@ def evaluate_server(
     ``engine="serial"``.  Any other value raises
     :class:`~repro.errors.ConfigurationError`.
 
-    With ``allow_partial=True`` a state whose run failed (a dead worker,
-    a quarantined trace) is dropped into :attr:`EvaluationResult.missing`
-    instead of aborting the evaluation: the score degrades to the mean
-    over the measured states, flagged by ``coverage < 1``.  At least one
-    state must survive — an empty matrix still raises.  The successful
-    rows are bit-identical to a complete run's.
+    A state whose run failed (a job that exhausted its retries, a shed
+    job) comes back from the backend as an error; without
+    ``allow_partial`` the first one, in state order, is raised.  With
+    ``allow_partial=True`` every such state is listed in
+    :attr:`EvaluationResult.missing`, in state order, instead of
+    aborting the evaluation: the score degrades to the mean over the
+    measured states, flagged by ``coverage < 1``.  At least one state
+    must survive — an empty matrix still raises.  The successful rows
+    are bit-identical to a complete run's.
 
     ``on_run`` is an optional observer called as ``on_run(state, run)``
-    for every state that produced a run, in state order, before its row
-    is built.  The serve daemon uses it to publish each run's window
+    for every state that produced a run, in state order, once the
+    evaluation has scored: an evaluation that raises calls it for no
+    state.  The serve daemon uses it to publish each run's window
     statistics, computed by ``trimmed_stats``, as a
     ``serve_stream_window`` event; the hook cannot change what is
     evaluated, and exceptions it raises propagate.
@@ -187,25 +192,27 @@ def evaluate_server(
         runs = backend.map_runs(simulator, items)
     else:
         runs = run_batch(simulator, items)
-    rows = []
+    measured = []
     missing: list[str] = []
     last_error: "Exception | None" = None
     for state, run in zip(states, runs):
-        if isinstance(run, Exception):
-            if not allow_partial:
-                raise run
+        if not isinstance(run, Exception):
+            measured.append((state, run))
+        elif allow_partial:
             missing.append(state.label)
             last_error = run
-            continue
-        if on_run is not None:
-            on_run(state, run)
-        rows.append(_row_from_run(state, run, trim))
-    if not rows:
+        else:
+            raise run
+    if not measured:
         raise ConfigurationError(
             f"every evaluation state failed on {server.name}"
         ) from last_error
+    rows = tuple(_row_from_run(state, run, trim) for state, run in measured)
+    if on_run is not None:
+        for state, run in measured:
+            on_run(state, run)
     return EvaluationResult(
-        server=server.name, rows=tuple(rows), missing=tuple(missing)
+        server=server.name, rows=rows, missing=tuple(missing)
     )
 
 

@@ -59,13 +59,13 @@ def _iter_runs(simulator: Simulator, workloads: list, backend=None):
     historical loops did, but yields each run as it completes and
     retains none of them — a collector that reduces runs to features on
     the fly holds at most one run's traces at a time.  A backend (e.g.
-    :class:`repro.fleet.backend.FleetBackend`) still receives the whole
-    list at once via ``map_runs`` and may parallelise, cache, and
-    retry; the simulator's seeding contract keeps the results
-    bit-identical either way.  Workloads that cannot run (memory fit,
-    process rules) come back as the raised
-    :class:`~repro.errors.WorkloadError` so the caller can skip them
-    positionally.
+    :class:`repro.fleet.FleetRunner`) still receives the whole list at
+    once via ``map_runs`` and may parallelise, cache, and retry; the
+    simulator's seeding contract keeps the results bit-identical either
+    way.  Workloads that cannot run (memory fit, process rules) come
+    back as the raised :class:`~repro.errors.WorkloadError`, and a
+    backend job that failed as its error, so the caller can skip or
+    raise them positionally.
     """
     from repro.errors import WorkloadError
 
@@ -122,11 +122,9 @@ def collect_hpcc_training(
     ``proc_counts`` defaults to every count from 1 to the server's full
     core count, matching the paper's "single core to full cores" scripts.
     ``backend`` optionally routes the campaign's runs through a batch
-    executor (see :class:`repro.fleet.backend.FleetBackend`); results
-    are bit-identical to the inline path.
+    executor (see :class:`repro.fleet.FleetRunner`); results are
+    bit-identical to the inline path.  A run that failed is raised.
     """
-    from repro.errors import WorkloadError
-
     simulator = simulator or Simulator(server)
     if proc_counts is None:
         proc_counts = list(range(1, server.total_cores + 1))
@@ -140,7 +138,7 @@ def collect_hpcc_training(
     power: list[np.ndarray] = []
     labels: list[str] = []
     for workload, run in _iter_runs(simulator, workloads, backend):
-        if isinstance(run, WorkloadError):
+        if isinstance(run, Exception):
             raise run
         features = run.pmu_matrix()
         n = len(features)

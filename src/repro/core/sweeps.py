@@ -9,12 +9,12 @@ single-sourced, testable fact.
 Every sweep is structured as *build the run list, execute, assemble*, and
 takes an optional ``backend`` implementing::
 
-    map_runs(simulator, workloads) -> list[RunResult | WorkloadError]
+    map_runs(simulator, workloads) -> list[RunResult | ReproError]
 
-(positionally aligned with the input; unrunnable configurations come
-back as the error instance).  ``backend=None`` executes locally in this
-process through :func:`repro.engine.batch.run_batch`.
-:class:`repro.fleet.FleetBackend` provides the parallel/cached
+(positionally aligned with the input; unrunnable configurations and
+failed runs come back as the error instance).  ``backend=None`` executes
+locally in this process through :func:`repro.engine.batch.run_batch`.
+:meth:`repro.fleet.FleetRunner.map_runs` provides the parallel/cached
 implementation; results are bit-identical on every path because the
 simulator seeds runs from ``(seed, program label)``, not from execution
 order.

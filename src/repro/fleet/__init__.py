@@ -22,7 +22,6 @@ CLI: ``python -m repro fleet init|run|status|report``.  See
 event-log schema.
 """
 
-from repro.fleet.backend import FleetBackend
 from repro.fleet.cache import (
     CACHE_SALT,
     ResultCache,
@@ -71,7 +70,6 @@ __all__ = [
     "EventLog",
     "EventTail",
     "FaultInjection",
-    "FleetBackend",
     "FleetJob",
     "FleetOutcome",
     "FleetReport",

@@ -37,17 +37,27 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.demand import ResourceDemand
+from repro.engine.simulator import Simulator
 from repro.engine.trace import RunResult
-from repro.errors import ConfigurationError, JobTimeoutError, WorkloadError
+from repro.errors import (
+    ConfigurationError,
+    JobTimeoutError,
+    ReproError,
+    SimulationError,
+    WorkloadError,
+)
 from repro.fleet.cache import ResultCache, canonical_digest, job_cache_key
 from repro.fleet.events import EventLog
-from repro.fleet.spec import CampaignSpec, FleetJob
+from repro.fleet.spec import CampaignSpec, FleetJob, bind_jobs
 from repro.fleet.worker import (
     FaultInjection,
     execute_chunk,
     execute_job,
     job_payload,
 )
+from repro.metering.meter import WT210
+from repro.workloads.base import Workload
 
 __all__ = [
     "DETERMINISTIC_ERRORS",
@@ -62,6 +72,11 @@ __all__ = [
 
 #: Watchdog poll floor, seconds — how stale a deadline check may go.
 _WATCHDOG_TICK_S = 0.05
+
+#: How many times a campaign may rebuild its pool after crashes or hangs
+#: before the remaining jobs are failed outright.  Bounds the worst case
+#: when every worker hangs persistently.
+_MAX_POOL_REPLACEMENTS = 3
 
 #: Errors a retry cannot cure: the job's own spec is invalid (a bad
 #: process count, a footprint larger than the server's memory), so every
@@ -263,6 +278,22 @@ class FleetOutcome:
             )
         return canonical_digest(rows)
 
+    def map_runs(
+        self,
+        simulator: Simulator,
+        workloads: "list[Workload | ResourceDemand]",
+    ) -> "list[RunResult | ReproError]":
+        """The backend contract over runs this outcome already holds.
+
+        Returns what :meth:`FleetRunner.map_runs` would, without running
+        anything: ``evaluate_server(server, simulator, backend=outcome)``
+        scores a campaign that already ran.  A job the outcome does not
+        hold (one the serve daemon shed) comes back as
+        :class:`~repro.errors.SimulationError` ``"fleet job <id> did not
+        run"``.
+        """
+        return _map_runs(simulator, workloads, lambda jobs: self)
+
     def run_for(self, server: str, label: str) -> RunResult:
         """Look up one run by server name and job label."""
         for r in self.records:
@@ -279,6 +310,41 @@ class FleetOutcome:
         from repro.fleet.report import FleetReport
 
         return FleetReport.from_outcome(self)
+
+
+def _map_runs(simulator, workloads, outcome_for) -> list:
+    """Bind ``workloads`` to jobs and look each one up in an outcome.
+
+    The one mapping behind :meth:`FleetRunner.map_runs` and
+    :meth:`FleetOutcome.map_runs`; ``outcome_for(jobs)`` supplies the
+    :class:`FleetOutcome` holding the deduplicated ``jobs``.
+    """
+    if simulator.meter_spec != WT210:
+        raise ConfigurationError(
+            "the fleet backend reconstructs simulators in worker "
+            "processes and supports only the default WT210 meter"
+        )
+    bound = bind_jobs(
+        simulator.server, workloads, simulator.seed, simulator.placement_policy
+    )
+    # Equal ids mean equal work: a revisited configuration runs once.
+    jobs = {e.job_id: e for e in bound if isinstance(e, FleetJob)}
+    if not jobs:
+        return bound
+    records = {r.job.job_id: r for r in outcome_for(tuple(jobs.values())).records}
+
+    def slot(job: FleetJob) -> "RunResult | SimulationError":
+        record = records.get(job.job_id)
+        if record is None:
+            return SimulationError(f"fleet job {job.job_id} did not run")
+        if record.result is None:
+            return SimulationError(
+                f"fleet job {job.job_id} failed after {record.attempts} "
+                f"attempts: {record.error or 'unknown error'}"
+            )
+        return record.result
+
+    return [slot(e) if isinstance(e, FleetJob) else e for e in bound]
 
 
 class _InlineExecutor:
@@ -367,10 +433,10 @@ class FleetRunner:
         so a hung worker costs seconds, not the campaign.  With
         ``workers=1`` a timeout runs the campaign in a one-process pool
         rather than inline: an in-process call cannot be interrupted.
-    max_pool_replacements:
-        How many times a campaign may rebuild its pool after crashes or
-        hangs before the remaining jobs are failed outright.  Bounds
-        the worst case when every worker hangs persistently.
+
+    A runner holds per-run state, so it serves one thread at a time:
+    :meth:`run_jobs` and :meth:`map_runs` must not overlap on one
+    runner.
     """
 
     workers: "int | None" = None
@@ -380,7 +446,6 @@ class FleetRunner:
     fault: "FaultInjection | None" = None
     chunk_size: "int | None" = None
     timeout_s: "float | None" = None
-    max_pool_replacements: int = 3
     #: Per-campaign merge target for worker metrics snapshots; only set
     #: while a run is in flight with observability enabled.
     _worker_metrics: "obs.MetricsRegistry | None" = field(
@@ -391,19 +456,42 @@ class FleetRunner:
         """Execute a campaign spec; never raises for per-job failures."""
         return self.run_jobs(campaign.jobs(), campaign.name)
 
+    def map_runs(
+        self,
+        simulator: Simulator,
+        workloads: "list[Workload | ResourceDemand]",
+    ) -> "list[RunResult | ReproError]":
+        """Run each workload on ``simulator``'s server through the fleet.
+
+        The ``backend=`` contract of :func:`repro.core.evaluate_server`
+        and every sweep: one entry per workload, in order — the run, the
+        :class:`~repro.errors.WorkloadError` its bind raised (the
+        paper's empty Table II cells), or, for a job that exhausted its
+        retries, :class:`~repro.errors.SimulationError` ``"fleet job
+        <id> failed after <n> attempts: <error>"``.  Whether an error
+        slot aborts is the caller's choice (``allow_partial``).  Equal
+        workloads run once, as one ``run_jobs`` campaign named
+        ``backend:<server>``; results are bit-identical to
+        ``simulator.run``, since every run is seeded from ``(seed,
+        program label)``.
+        """
+        return _map_runs(
+            simulator,
+            workloads,
+            lambda jobs: self.run_jobs(
+                jobs, name=f"backend:{simulator.server.name}"
+            ),
+        )
+
     def run_jobs(
         self, jobs: "tuple[FleetJob, ...]", name: str = "ad-hoc"
     ) -> FleetOutcome:
-        """Execute an explicit job list (the backend entry point)."""
+        """Execute an explicit job list."""
         if not jobs:
             raise ConfigurationError("campaign expanded to zero jobs")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ConfigurationError(
                 f"timeout_s must be positive, got {self.timeout_s}"
-            )
-        if self.max_pool_replacements < 0:
-            raise ConfigurationError(
-                "max_pool_replacements must be non-negative"
             )
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ConfigurationError(
@@ -506,7 +594,7 @@ class FleetRunner:
         (``timeout_s``) kills and rebuilds the pool: the culprit unit is
         charged one attempt, innocent in-flight units re-run at the same
         attempt (safe — results are deterministic), and after
-        ``max_pool_replacements`` rebuilds whatever remains is failed
+        :data:`_MAX_POOL_REPLACEMENTS` rebuilds whatever remains is failed
         rather than looping on a persistently broken fleet.  Neither can
         happen inline, which runs only without a timeout.
         """
@@ -579,7 +667,7 @@ class FleetRunner:
                 queue.appendleft(unit)
             futures.clear()
             replacements += 1
-            if replacements > self.max_pool_replacements:
+            if replacements > _MAX_POOL_REPLACEMENTS:
                 return False
             self._campaign_inc("fleet.pool.replaced")
             self._emit(
@@ -610,7 +698,7 @@ class FleetRunner:
                                 unit.get("attempt", 1),
                                 ConfigurationError(
                                     f"pool replacement budget exhausted "
-                                    f"({self.max_pool_replacements}) after "
+                                    f"({_MAX_POOL_REPLACEMENTS}) after "
                                     f"{reason}"
                                 ),
                             )

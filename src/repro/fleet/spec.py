@@ -289,7 +289,13 @@ def campaign_to_dict(spec: CampaignSpec) -> dict[str, Any]:
 
 
 def campaign_from_dict(data: dict[str, Any]) -> CampaignSpec:
-    """Inverse of :func:`campaign_to_dict`."""
+    """Inverse of :func:`campaign_to_dict`.
+
+    Campaign documents are outside input: a missing ``name`` or
+    ``servers``, a ``servers`` or ``workloads`` value that is not a
+    list, a workload that is not an object or a ``seed`` that is not an
+    integer raises :class:`ConfigurationError` naming the field.
+    """
     kind = data.get("kind")
     if kind != CAMPAIGN_KIND:
         raise ConfigurationError(
@@ -301,6 +307,21 @@ def campaign_from_dict(data: dict[str, Any]) -> CampaignSpec:
             f"unsupported campaign schema version {version!r} "
             f"(this build reads version {CAMPAIGN_SCHEMA_VERSION})"
         )
+    for required in ("name", "servers"):
+        if required not in data:
+            raise ConfigurationError(f"campaign has no field {required!r}")
+    for listed in ("servers", "workloads"):
+        if not isinstance(data.get(listed, []), list):
+            raise ConfigurationError(f"campaign field {listed!r} must be a list")
+    if not all(isinstance(w, dict) for w in data.get("workloads", [])):
+        raise ConfigurationError(
+            "campaign field 'workloads' must hold workload objects"
+        )
+    seed = data.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigurationError(
+            f"campaign field 'seed' must be an integer, got {seed!r}"
+        )
     workloads = tuple(dict(w) for w in data.get("workloads", ()))
     for w in workloads:
         workload_from_dict(w)  # validate eagerly, fail at load time
@@ -309,7 +330,7 @@ def campaign_from_dict(data: dict[str, Any]) -> CampaignSpec:
         servers=tuple(repro_io.server_from_ref(r) for r in data["servers"]),
         workloads=workloads,
         evaluation_matrix=bool(data.get("evaluation_matrix", False)),
-        seed=int(data.get("seed", 0)),
+        seed=seed,
         placement=data.get("placement", "compact"),
     )
 

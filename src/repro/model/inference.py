@@ -112,7 +112,7 @@ def collect_feature_batch(
     """The NPB verification sweep as a servable feature batch.
 
     ``backend`` optionally dispatches the runs through the fleet
-    (:class:`repro.fleet.backend.FleetBackend`) — across workers, the
+    (:class:`repro.fleet.FleetRunner`) — across workers, the
     result cache, retries — with bit-identical features.
     """
     labels, features, watts = collect_npb_features(

@@ -342,10 +342,11 @@ def submission_jobs(kind: str, spec: "dict[str, Any]") -> tuple:
 
     ``fleet`` is the campaign's own job list.  ``evaluate`` is one job
     per evaluation state the server can run, at the default placement:
-    exactly the jobs :class:`~repro.fleet.FleetBackend` makes for
+    exactly the jobs :meth:`~repro.fleet.FleetRunner.map_runs` runs for
     ``evaluate_server(server, Simulator(server, seed=seed))``.  The
-    scheduler sheds from this list, and ``repro doctor`` pins its cache
-    keys, so an eviction never takes what a pending campaign will read.
+    scheduler sheds from this list and runs what it keeps, and ``repro
+    doctor`` pins its cache keys, so an eviction never takes what a
+    pending campaign will read.
     """
     from repro.fleet.spec import FleetJob, bind_jobs, campaign_from_dict
 

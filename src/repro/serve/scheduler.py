@@ -1,7 +1,7 @@
 """The serve scheduler: slot threads over the tenant queue fabric.
 
 One :class:`ServeScheduler` multiplexes every tenant's campaigns onto a
-small pool of *slot threads*.  Each slot owns its own
+small pool of *slot threads*.  Each campaign runs through its own
 :class:`~repro.fleet.FleetRunner` (runners keep per-run state and are
 not shareable), but all slots share one content-addressed
 :class:`~repro.fleet.ResultCache` and one (thread-safe)
@@ -33,7 +33,6 @@ job results live in the shared cache.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from typing import Any
@@ -41,11 +40,9 @@ from typing import Any
 from repro import io as repro_io
 from repro import obs
 from repro.core.evaluation import evaluate_server
-from repro.core.states import evaluation_states
 from repro.engine.simulator import Simulator
 from repro.engine.trace import RunResult
 from repro.errors import ReproError, StorageDegradedError
-from repro.fleet.backend import FleetBackend
 from repro.fleet.cache import ResultCache, canonical_digest, job_cache_key
 from repro.fleet.events import EventLog
 from repro.fleet.runner import FleetRunner, RetryPolicy
@@ -499,59 +496,66 @@ class ServeScheduler:
     def _execute(
         self, record: CampaignState, shed: bool
     ) -> "tuple[dict[str, Any], str, bool]":
-        if record.submission.kind == "evaluate":
-            return self._execute_evaluate(record, shed)
-        return self._execute_fleet(record, shed)
+        """Run one campaign through one :class:`FleetRunner` campaign.
 
-    def _execute_evaluate(
-        self, record: CampaignState, shed: bool
-    ) -> "tuple[dict[str, Any], str, bool]":
-        """The paper's method on one server, through the shared cache.
-
-        Shed, it measures only the states whose job was kept, and
-        ``missing`` names every state without a row, in state order.
+        Both kinds expand to their jobs (:func:`submission_jobs`), shed
+        under a backlog, and run what is kept in one ``run_jobs`` call
+        named after the serve campaign, through the shared cache.  An
+        evaluate campaign is then scored from that outcome by
+        :func:`evaluate_server`: shed, every state without a run lands
+        in ``missing``, in state order; otherwise a failed job fails
+        the campaign.
         """
-        spec = record.submission.spec
-        server = resolve_server(spec["server"])
-        states = evaluation_states(server)
-        measured = states
+        kind, spec = record.submission.kind, record.submission.spec
+        jobs = submission_jobs(kind, spec)
+        skipped: "tuple[FleetJob, ...]" = ()
         if shed:
-            _kept, skipped = self._shed(submission_jobs("evaluate", spec))
-            # A job carries its state's table label ("ep.C.4", "Idle").
-            skipped_labels = {job.label for job in skipped}
-            measured = [s for s in states if s.label not in skipped_labels]
-        outcomes: "list[Any]" = []
-        backend = FleetBackend(
+            jobs, skipped = self._shed(jobs)
+        outcome = FleetRunner(
             workers=self.fleet_workers,
             cache=self.cache,
             events=self.events,
             retry=self.retry,
-            strict=not shed,
-            on_outcome=outcomes.append,
-            name=record.campaign_id,
-        )
-        result = evaluate_server(
-            server,
-            Simulator(server, seed=int(spec.get("seed", 0))),
-            backend=backend,
-            allow_partial=shed,
-            states=measured,
-            on_run=lambda state, run: self._stream_window(record, state, run),
-        )
-        rows = {row.label for row in result.rows}
-        missing = tuple(s.label for s in states if s.label not in rows)
-        partial = bool(missing)
-        if partial:
-            result = dataclasses.replace(result, missing=missing)
+        ).run_jobs(jobs, name=record.campaign_id)
+        with self._cond:
+            self.counters["deduped_jobs"] += outcome.cache_hits
+        if kind == "evaluate":
+            server = resolve_server(spec["server"])
+            result = evaluate_server(
+                server,
+                Simulator(server, seed=int(spec.get("seed", 0))),
+                backend=outcome,
+                allow_partial=shed,
+                on_run=lambda state, run: self._stream_window(
+                    record, state, run
+                ),
+            )
+            if result.missing:
+                self.events.emit(
+                    "serve_shed",
+                    campaign=record.campaign_id,
+                    missing=list(result.missing),
+                )
+            document = repro_io.evaluation_to_dict(result)
+            return document, canonical_digest(document), bool(result.missing)
+        if skipped:
             self.events.emit(
                 "serve_shed",
                 campaign=record.campaign_id,
-                missing=list(missing),
+                skipped=[job.job_id for job in skipped],
             )
-        document = repro_io.evaluation_to_dict(result)
-        with self._cond:
-            self.counters["deduped_jobs"] += sum(o.cache_hits for o in outcomes)
-        return document, canonical_digest(document), partial
+        digest = outcome.results_digest()
+        document: dict[str, Any] = {
+            "kind": "fleet-outcome",
+            "campaign": spec["name"],
+            "digest": digest,
+            "report": outcome.report().to_dict(),
+            "failures": [f.job_id for f in outcome.failures],
+        }
+        if skipped:
+            document["partial"] = True
+            document["skipped"] = sorted(job.job_id for job in skipped)
+        return document, digest, bool(skipped)
 
     def _stream_window(
         self, record: CampaignState, state: Any, run: RunResult
@@ -585,42 +589,6 @@ class ServeScheduler:
             )
         except Exception:  # noqa: BLE001 - observability must not kill work
             obs.inc("serve.stream.errors")
-
-    def _execute_fleet(
-        self, record: CampaignState, shed: bool
-    ) -> "tuple[dict[str, Any], str, bool]":
-        spec = record.submission.spec
-        jobs = submission_jobs("fleet", spec)
-        skipped: "tuple[FleetJob, ...]" = ()
-        if shed:
-            jobs, skipped = self._shed(jobs)
-        runner = FleetRunner(
-            workers=self.fleet_workers,
-            cache=self.cache,
-            events=self.events,
-            retry=self.retry,
-        )
-        outcome = runner.run_jobs(jobs, name=record.campaign_id)
-        with self._cond:
-            self.counters["deduped_jobs"] += outcome.cache_hits
-        partial = bool(skipped)
-        if partial:
-            self.events.emit(
-                "serve_shed",
-                campaign=record.campaign_id,
-                skipped=[job.job_id for job in skipped],
-            )
-        document: dict[str, Any] = {
-            "kind": "fleet-outcome",
-            "campaign": spec["name"],
-            "digest": outcome.results_digest(),
-            "report": outcome.report().to_dict(),
-            "failures": [f.job_id for f in outcome.failures],
-        }
-        if partial:
-            document["partial"] = True
-            document["skipped"] = sorted(job.job_id for job in skipped)
-        return document, outcome.results_digest(), partial
 
     # -- settling -------------------------------------------------------
 

@@ -19,7 +19,7 @@ from repro.cluster import (
     simulate_cluster,
 )
 from repro.core.evaluation import evaluate_server
-from repro.fleet.backend import FleetBackend
+from repro.fleet import FleetRunner
 from repro.hardware.specs import get_server
 
 
@@ -47,7 +47,7 @@ def test_bit_identical_to_evaluate_server(
 
 def test_bit_identical_under_fleet_backend(xeon_digest):
     result = one_node_result(
-        "Xeon-E5462", backend=FleetBackend(workers=2)
+        "Xeon-E5462", backend=FleetRunner(workers=2)
     )
     assert result.rows_digest() == xeon_digest
 

@@ -16,7 +16,7 @@ from repro.cluster import (
 from repro.cluster.report import REPORT_KIND, TIMELINE_MAX_POINTS
 from repro.demand import ResourceDemand
 from repro.errors import ConfigurationError
-from repro.fleet.backend import FleetBackend
+from repro.fleet import FleetRunner
 from repro.fleet.events import EventLog, read_events
 from repro.fleet.spec import workload_to_dict
 from repro.hardware.specs import get_server
@@ -89,7 +89,7 @@ class TestAbsorbNodeComm:
         )
         with pytest.raises(ConfigurationError, match="absorb_node_comm"):
             simulate_cluster(
-                cluster, [comm_job(0.5)], backend=FleetBackend(workers=1)
+                cluster, [comm_job(0.5)], backend=FleetRunner(workers=1)
             )
 
     def test_absorb_lowers_node_watts_for_comm_heavy_jobs(self):

@@ -133,11 +133,10 @@ class TestPartialEvaluation:
 
     @pytest.fixture(scope="class")
     def partial(self, e5462_module):
-        from repro.fleet import FaultInjection, FleetBackend, RetryPolicy
+        from repro.fleet import FaultInjection, FleetRunner, RetryPolicy
 
-        backend = FleetBackend(
+        backend = FleetRunner(
             workers=1,
-            strict=False,
             retry=RetryPolicy(max_attempts=2, backoff_s=0.0),
             fault=FaultInjection("HPL P4", fail_attempts=99),
         )
@@ -168,11 +167,10 @@ class TestPartialEvaluation:
         assert partial.score == pytest.approx(expected)
 
     def test_every_state_failing_raises(self, e5462_module):
-        from repro.fleet import FaultInjection, FleetBackend, RetryPolicy
+        from repro.fleet import FaultInjection, FleetRunner, RetryPolicy
 
-        backend = FleetBackend(
+        backend = FleetRunner(
             workers=1,
-            strict=False,
             retry=RetryPolicy(max_attempts=1, backoff_s=0.0),
             fault=FaultInjection("", fail_attempts=99),  # matches all
         )
@@ -183,9 +181,9 @@ class TestPartialEvaluation:
 
     def test_without_allow_partial_failures_still_raise(self, e5462_module):
         from repro.errors import SimulationError
-        from repro.fleet import FaultInjection, FleetBackend, RetryPolicy
+        from repro.fleet import FaultInjection, FleetRunner, RetryPolicy
 
-        backend = FleetBackend(
+        backend = FleetRunner(
             workers=1,
             retry=RetryPolicy(max_attempts=2, backoff_s=0.0),
             fault=FaultInjection("HPL P4", fail_attempts=99),

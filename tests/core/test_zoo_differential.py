@@ -16,7 +16,7 @@ import pytest
 from repro.core.evaluation import evaluate_server
 from repro.core.grid import evaluation_digest
 from repro.engine.simulator import Simulator
-from repro.fleet import FleetBackend, ResultCache
+from repro.fleet import FleetRunner, ResultCache
 from repro.hardware.specs import get_server
 from repro.hardware.zoo import get_zoo_server
 from repro.io import server_to_dict
@@ -49,7 +49,7 @@ class TestBuiltinDigestIdentity:
     def test_fleet(self, name):
         server = get_server(name)
         with tempfile.TemporaryDirectory() as tmp:
-            backend = FleetBackend(
+            backend = FleetRunner(
                 workers=2, cache=ResultCache(Path(tmp) / "cache")
             )
             result = evaluate_server(
@@ -77,7 +77,7 @@ class TestZooFleetEquivalence:
         server = get_zoo_server("Tesla-K20-Node").at_pstate(1)
         local = evaluate_server(server, Simulator(server, seed=0))
         with tempfile.TemporaryDirectory() as tmp:
-            backend = FleetBackend(
+            backend = FleetRunner(
                 workers=2, cache=ResultCache(Path(tmp) / "cache")
             )
             fleet_result = evaluate_server(

@@ -1,11 +1,11 @@
-"""FleetBackend routed through the core sweeps and evaluation loops."""
+"""FleetRunner.map_runs and FleetOutcome.map_runs behind the core loops."""
 
 import pytest
 
 from repro.core import sweeps
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError, SimulationError
-from repro.fleet import FaultInjection, FleetBackend, ResultCache, RetryPolicy
+from repro.fleet import FaultInjection, FleetRunner, ResultCache, RetryPolicy
 from repro.hardware import XEON_E5462
 import dataclasses
 
@@ -20,7 +20,7 @@ def simulator():
 
 @pytest.fixture(scope="module")
 def backend():
-    return FleetBackend(workers=2)
+    return FleetRunner(workers=2)
 
 
 class TestSweepEquality:
@@ -54,13 +54,13 @@ class TestSweepEquality:
 
 class TestMapRuns:
     def test_dedupes_repeated_workloads(self, simulator):
-        backend = FleetBackend(workers=1)
+        backend = FleetRunner(workers=1)
         workload = NpbWorkload("ep", "C", 2)
         a, b = backend.map_runs(simulator, [workload, workload])
         assert a == b
 
     def test_cache_reused_across_calls(self, simulator, tmp_path):
-        backend = FleetBackend(
+        backend = FleetRunner(
             workers=1, cache=ResultCache(tmp_path / "cache")
         )
         workload = NpbWorkload("ep", "C", 4)
@@ -74,14 +74,53 @@ class TestMapRuns:
         with pytest.raises(ConfigurationError):
             backend.map_runs(simulator, [NpbWorkload("ep", "C", 1)])
 
-    def test_exhausted_retries_raise_simulation_error(self, simulator):
-        backend = FleetBackend(
+    def test_exhausted_retries_come_back_in_their_slot(self, simulator):
+        backend = FleetRunner(
             workers=1,
             retry=RetryPolicy(max_attempts=2, backoff_s=0.0),
             fault=FaultInjection("ep.C.2", fail_attempts=99),
         )
-        with pytest.raises(SimulationError):
-            backend.map_runs(simulator, [NpbWorkload("ep", "C", 2)])
+        failed, run = backend.map_runs(
+            simulator, [NpbWorkload("ep", "C", 2), NpbWorkload("ep", "C", 1)]
+        )
+        assert isinstance(failed, SimulationError)
+        assert str(failed).startswith("fleet job Xeon-E5462/ep.C.2/s11/")
+        assert "failed after 2 attempts: InjectedFaultError" in str(failed)
+        inline = simulator.run(NpbWorkload("ep", "C", 1))
+        assert run.measured_watts.tobytes() == inline.measured_watts.tobytes()
+
+
+class TestOutcomeMapRuns:
+    """A campaign that already ran, scored through ``backend=outcome``."""
+
+    def test_scores_like_the_inline_evaluation(self):
+        from repro.core.evaluation import evaluate_server
+        from repro.fleet import evaluation_campaign
+
+        seed = 5
+        outcome = FleetRunner(workers=1).run(
+            evaluation_campaign((XEON_E5462,), seed)
+        )
+        assert evaluate_server(
+            XEON_E5462, Simulator(XEON_E5462, seed=seed), backend=outcome
+        ) == evaluate_server(XEON_E5462, Simulator(XEON_E5462, seed=seed))
+
+    def test_states_it_lacks_are_missing_in_state_order(self):
+        from repro.core.evaluation import evaluate_server
+        from repro.fleet import evaluation_campaign
+
+        seed = 5
+        jobs = evaluation_campaign((XEON_E5462,), seed).jobs()
+        # Every other state ran: the rest never reached the runner.
+        outcome = FleetRunner(workers=1).run_jobs(jobs[::2])
+        simulator = Simulator(XEON_E5462, seed=seed)
+        partial = evaluate_server(
+            XEON_E5462, simulator, backend=outcome, allow_partial=True
+        )
+        assert partial.missing == tuple(job.label for job in jobs[1::2])
+        assert [r.label for r in partial.rows] == [j.label for j in jobs[::2]]
+        with pytest.raises(SimulationError, match="did not run"):
+            evaluate_server(XEON_E5462, simulator, backend=outcome)
 
 
 class TestHpccThroughTheFleet:
@@ -97,3 +136,14 @@ class TestHpccThroughTheFleet:
         assert fleet.labels == inline.labels
         assert fleet.features.tobytes() == inline.features.tobytes()
         assert fleet.power.tobytes() == inline.power.tobytes()
+
+    def test_failed_job_raises_simulation_error_naming_it(self):
+        from repro.core.regression import collect_hpcc_training
+
+        backend = FleetRunner(
+            workers=1,
+            retry=RetryPolicy(max_attempts=1, backoff_s=0.0),
+            fault=FaultInjection("", fail_attempts=99),
+        )
+        with pytest.raises(SimulationError, match="fleet job Xeon-E5462/"):
+            collect_hpcc_training(XEON_E5462, proc_counts=[1], backend=backend)

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.core.evaluation import evaluate_server
 from repro.engine.simulator import Simulator
-from repro.fleet import FleetBackend, FleetRunner, demo_campaign
+from repro.fleet import FleetRunner, demo_campaign
 from repro.fleet.spec import workload_from_dict
 from repro.hardware import BUILTIN_SERVERS, XEON_E5462
 
@@ -48,7 +48,7 @@ class TestBackendMatchesEvaluateServer:
     def test_evaluation_identical_through_fleet_backend(self):
         # Frozen-dataclass equality compares every float exactly, so
         # this asserts bit-identical evaluation tables.
-        backend = FleetBackend(workers=2)
+        backend = FleetRunner(workers=2)
         for server in BUILTIN_SERVERS.values():
             assert evaluate_server(server) == evaluate_server(
                 server, backend=backend

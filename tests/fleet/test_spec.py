@@ -144,6 +144,29 @@ class TestCampaignSpec:
         with pytest.raises(ConfigurationError):
             campaign_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("name", None),
+            ("servers", None),
+            ("servers", "Xeon-E5462"),
+            ("workloads", {"type": "idle", "duration_s": 1.0}),
+            ("workloads", [5]),
+            ("seed", "x"),
+            ("seed", 1.5),
+        ],
+    )
+    def test_malformed_field_is_a_configuration_error(self, field, value):
+        # None deletes the field.  Every damage is named, never a
+        # KeyError/TypeError/ValueError from deep inside the reader.
+        data = campaign_to_dict(demo_campaign())
+        if value is None:
+            del data[field]
+        else:
+            data[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            campaign_from_dict(data)
+
 
 class TestHpccWorkloadCodec:
     @pytest.mark.parametrize("component", ["hpl", "stream", "beff"])

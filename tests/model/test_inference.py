@@ -117,11 +117,11 @@ class TestInferenceEngine:
         ]
 
     def test_fleet_backend_collection_matches_inline(self, e5462):
-        from repro.fleet.backend import FleetBackend
+        from repro.fleet import FleetRunner
 
         inline = collect_feature_batch(e5462, "B", Simulator(e5462, seed=0))
         dispatched = collect_feature_batch(
-            e5462, "B", Simulator(e5462, seed=0), FleetBackend(workers=2)
+            e5462, "B", Simulator(e5462, seed=0), FleetRunner(workers=2)
         )
         assert dispatched.labels == inline.labels
         assert np.array_equal(dispatched.features, inline.features)

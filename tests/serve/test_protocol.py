@@ -137,6 +137,22 @@ class TestParseSubmission:
             parse_submission({"campaign": doc}, None)
         assert (exc.value.status, exc.value.code) == (400, "invalid_campaign")
 
+    @pytest.mark.parametrize(
+        "field, value", [("name", None), ("seed", "x"), ("workloads", [5])]
+    )
+    def test_malformed_campaign_field_is_400(self, field, value):
+        from repro.fleet import campaign_to_dict, demo_campaign
+
+        doc = campaign_to_dict(demo_campaign())
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        with pytest.raises(HttpError) as exc:
+            parse_submission({"campaign": doc}, None)
+        assert (exc.value.status, exc.value.code) == (400, "invalid_campaign")
+        assert field in exc.value.detail
+
     def test_fleet_kind_roundtrips(self):
         from repro.fleet import campaign_to_dict, demo_campaign
 

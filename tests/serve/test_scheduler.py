@@ -92,6 +92,54 @@ class TestExecution:
             "status"
         ] == "done"
 
+    def test_failed_state_job_fails_the_evaluate_campaign(
+        self, tmp_path, monkeypatch
+    ):
+        # One state's job fails every attempt.  A non-shed evaluate
+        # campaign must fail, name that job in its error, and publish
+        # no window statistics for a result that was never scored.
+        from repro.errors import SimulationError
+        from repro.fleet import worker
+        from repro.serve.protocol import submission_jobs
+
+        submission = _evaluate_submission(seed=3)
+        (target,) = [
+            job
+            for job in submission_jobs(submission.kind, submission.spec)
+            if job.label == "HPL P2 Mh"
+        ]
+        run_payload = worker._run_payload
+
+        def failing(payload):
+            if payload["job_id"] != target.job_id:
+                return run_payload(payload)
+            return {
+                "job_id": payload["job_id"],
+                "result": None,
+                "error": SimulationError("worker lost its node"),
+            }
+
+        monkeypatch.setattr(worker, "_run_payload", failing)
+        scheduler = ServeScheduler(
+            StateStore(tmp_path / "state"), slots=1, fleet_workers=1
+        )
+        scheduler.start()
+        try:
+            campaign_id = scheduler.submit(submission).campaign.campaign_id
+            status = _wait_done(scheduler, campaign_id)
+        finally:
+            scheduler.drain(timeout_s=30)
+        assert status["status"] == "failed"
+        assert status["error"].startswith("SimulationError")
+        assert target.job_id in status["error"]
+        kinds = [
+            e["kind"]
+            for e in read_events(scheduler.state.events_path)
+            if e.get("campaign") == campaign_id
+        ]
+        assert "job_failed" in kinds
+        assert "serve_stream_window" not in kinds
+
 
 class TestDedup:
     def test_inflight_identical_submissions_share_one_execution(
