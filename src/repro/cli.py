@@ -272,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     frun.add_argument(
         "--resume",
         action="store_true",
-        help="continue a killed campaign: jobs journaled in the event "
-        "log / result cache are skipped, the rest re-execute "
+        help="continue a killed campaign: it re-runs, jobs the result "
+        "cache holds are served from it, the rest re-execute "
         "(needs --cache-dir and the previous run's --events file)",
     )
 

@@ -206,9 +206,10 @@ def completed_job_ids(
 
     A job counts as complete when any ``job_finish``, ``cache_hit``, or
     ``checkpoint`` record names it — the union over every run of
-    ``campaign`` in the log (or all campaigns when ``None``), which is
-    what lets ``fleet run --resume`` pick up a SIGKILLed campaign:
-    everything journaled is skipped, everything else re-executes.
+    ``campaign`` in the log (or all campaigns when ``None``).  ``fleet
+    run --resume`` prints how many jobs it holds; the resumed run itself
+    re-runs the whole campaign, and the result cache decides what is
+    recomputed.
     """
     done: set[str] = set()
     for record in events:

@@ -50,12 +50,7 @@ from repro.errors import (
 from repro.fleet.cache import ResultCache, canonical_digest, job_cache_key
 from repro.fleet.events import EventLog
 from repro.fleet.spec import CampaignSpec, FleetJob, bind_jobs
-from repro.fleet.worker import (
-    FaultInjection,
-    execute_chunk,
-    execute_job,
-    job_payload,
-)
+from repro.fleet.worker import FaultInjection, execute_chunk, job_payload
 from repro.metering.meter import WT210
 from repro.workloads.base import Workload
 
@@ -77,6 +72,12 @@ _WATCHDOG_TICK_S = 0.05
 #: before the remaining jobs are failed outright.  Bounds the worst case
 #: when every worker hangs persistently.
 _MAX_POOL_REPLACEMENTS = 3
+
+#: The retry backoff's growth per failed attempt, its cap in seconds and
+#: the half-width of its deterministic jitter (:meth:`RetryPolicy.delay_s`).
+_BACKOFF_MULTIPLIER = 2.0
+_MAX_BACKOFF_S = 5.0
+_BACKOFF_JITTER = 0.1
 
 #: Errors a retry cannot cure: the job's own spec is invalid (a bad
 #: process count, a footprint larger than the server's memory), so every
@@ -106,10 +107,11 @@ def auto_chunk_size(n_jobs: int, workers: int) -> int:
 class RetryPolicy:
     """Capped exponential-backoff retry budget for one job.
 
-    The backoff is capped at ``max_backoff_s`` (an uncapped exponential
-    turns a flaky job into a stalled campaign) and spread by ``jitter``
-    — but *deterministically*: the jitter factor is a pure function of
-    the job's seed and the attempt number, so retry timing is exactly
+    The backoff grows by ``_BACKOFF_MULTIPLIER`` per attempt, is capped
+    at ``_MAX_BACKOFF_S`` (an uncapped exponential turns a flaky job into
+    a stalled campaign) and spread by ``_BACKOFF_JITTER`` — but
+    *deterministically*: the jitter factor is a pure function of the
+    job's seed and the attempt number, so retry timing is exactly
     reproducible across runs, which the rest of the fleet's
     bit-identical guarantee demands.
 
@@ -119,26 +121,15 @@ class RetryPolicy:
 
     max_attempts: int = 3
     backoff_s: float = 0.05
-    multiplier: float = 2.0
-    max_backoff_s: float = 5.0
-    jitter: float = 0.1
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_s < 0 or self.multiplier < 1.0:
+        if self.backoff_s < 0:
             raise ConfigurationError(
-                "backoff must be >= 0 s with multiplier >= 1"
-            )
-        if self.max_backoff_s <= 0:
-            raise ConfigurationError(
-                f"max_backoff_s must be positive, got {self.max_backoff_s}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1], got {self.jitter}"
+                f"backoff_s must be >= 0, got {self.backoff_s}"
             )
 
     def should_retry(self, attempt: int, exc: BaseException) -> bool:
@@ -151,20 +142,21 @@ class RetryPolicy:
         """Sleep before re-submitting after failed ``attempt`` (1-based).
 
         With a ``seed`` the capped exponential is scaled by a factor in
-        ``[1 - jitter, 1 + jitter)`` derived from ``(seed, attempt)``
-        via SHA-256 — deterministic, but de-synchronised across jobs so
-        a burst of same-attempt retries does not stampede.  Without a
-        seed the bare capped exponential is returned.
+        ``[1 - _BACKOFF_JITTER, 1 + _BACKOFF_JITTER)`` derived from
+        ``(seed, attempt)`` via SHA-256 — deterministic, but
+        de-synchronised across jobs so a burst of same-attempt retries
+        does not stampede.  Without a seed the bare capped exponential
+        is returned.
         """
         base = min(
-            self.backoff_s * self.multiplier ** (attempt - 1),
-            self.max_backoff_s,
+            self.backoff_s * _BACKOFF_MULTIPLIER ** (attempt - 1),
+            _MAX_BACKOFF_S,
         )
-        if seed is None or self.jitter == 0.0 or base == 0.0:
+        if seed is None or base == 0.0:
             return base
         digest = hashlib.sha256(f"{seed}:{attempt}".encode()).digest()
         unit = int.from_bytes(digest[:8], "big") / 2**64  # [0, 1)
-        return base * (1.0 + self.jitter * (2.0 * unit - 1.0))
+        return base * (1.0 + _BACKOFF_JITTER * (2.0 * unit - 1.0))
 
 
 @dataclass(frozen=True)
@@ -347,6 +339,19 @@ def _map_runs(simulator, workloads, outcome_for) -> list:
     return [slot(e) if isinstance(e, FleetJob) else e for e in bound]
 
 
+@dataclass
+class _Unit:
+    """One dispatch: jobs at one attempt, run in order by one worker call.
+
+    ``deadline`` is the watchdog's ``time.monotonic()`` limit while the
+    unit is in flight under a ``timeout_s``, else ``None``.
+    """
+
+    jobs: "list[FleetJob]"
+    attempt: int
+    deadline: "float | None" = None
+
+
 class _InlineExecutor:
     """Runs each call in this process as it is submitted.
 
@@ -514,14 +519,7 @@ class FleetRunner:
                     else None
                 )
                 if hit is not None:
-                    self._emit(
-                        "cache_hit",
-                        campaign=name,
-                        job_id=job.job_id,
-                        label=job.label,
-                        server=job.server.name,
-                        wall_s=hit.wall_s,
-                    )
+                    self._emit_job("cache_hit", name, job, wall_s=hit.wall_s)
                     records[job.job_id] = JobRecord(
                         job=job,
                         result=hit.result,
@@ -582,130 +580,135 @@ class FleetRunner:
 
         Units go to :func:`_executor`'s executor: a process pool, or for
         ``workers <= 1`` without a timeout an inline one that runs each
-        unit in this process as it is submitted.  With ``chunk_size >
-        1`` the first attempt of every job travels in a chunk (one
-        pickle round-trip per ``chunk_size`` jobs); failed entries are
-        resubmitted as single jobs so retries stay per-job.  Every
-        failed attempt goes through ``charge``, the one place the retry
-        policy is asked; a retried attempt queues behind the units
-        already queued.
+        unit in this process as it is submitted.  Every unit is a list of
+        jobs at one attempt, sent to :func:`execute_chunk`: first attempts
+        travel ``chunk_size`` to a unit (one pickle round-trip each), and
+        a failed job is resubmitted as a unit of one, so retries stay
+        per-job.  Every failed attempt goes through ``charge``, the one
+        place the retry policy is asked; a retried attempt queues behind
+        the units already queued.
 
-        A crashed worker (``BrokenProcessPool``) or an overdue job
-        (``timeout_s``) kills and rebuilds the pool: the culprit unit is
-        charged one attempt, innocent in-flight units re-run at the same
-        attempt (safe — results are deterministic), and after
-        :data:`_MAX_POOL_REPLACEMENTS` rebuilds whatever remains is failed
+        A crashed worker (``BrokenProcessPool``) or an overdue unit
+        (``timeout_s``) goes through ``recover``, at most once per loop
+        turn: it kills and rebuilds the pool, re-runs innocent in-flight
+        units at the same attempt (safe — results are deterministic),
+        charges each culprit unit's jobs one attempt, and after
+        :data:`_MAX_POOL_REPLACEMENTS` rebuilds fails whatever remains
         rather than looping on a persistently broken fleet.  Neither can
         happen inline, which runs only without a timeout.
         """
         pool = _executor(workers, self.timeout_s)
         replacements = 0
-        futures: dict[Future, dict] = {}
+        futures: "dict[Future, _Unit]" = {}
         # Our own dispatch queue (vs. the executor's): kept shallow so a
         # pool replacement only has to requeue ~2*workers in-flight units.
         # Inline keeps one unit in flight, so its events follow the queue.
         depth = 2 * workers if workers > 1 else 1
-        queue: deque = deque()
-        if chunk_size > 1:
-            for i in range(0, len(pending), chunk_size):
-                queue.append(
-                    {"kind": "chunk", "chunk": pending[i : i + chunk_size]}
-                )
-        else:
-            for job in pending:
-                queue.append({"kind": "job", "job": job, "attempt": 1})
+        queue: "deque[_Unit]" = deque(
+            _Unit(pending[i : i + chunk_size], 1)
+            for i in range(0, len(pending), chunk_size)
+        )
 
-        def unit_jobs(unit: dict) -> "list[FleetJob]":
-            return unit["chunk"] if unit["kind"] == "chunk" else [unit["job"]]
-
-        def submit(unit: dict) -> None:
-            attempt = unit.get("attempt", 1)
-            for job in unit_jobs(unit):
-                self._emit_start(name, job, attempt)
-            if unit["kind"] == "chunk":
-                future = pool.submit(
-                    execute_chunk,
-                    [job_payload(job, 1, self.fault) for job in unit["chunk"]],
-                )
-                scale = len(unit["chunk"])  # chunk members run serially
-            else:
-                future = pool.submit(
-                    execute_job, job_payload(unit["job"], attempt, self.fault)
-                )
-                scale = 1
-            unit["deadline"] = (
-                None
-                if self.timeout_s is None
-                else time.monotonic() + self.timeout_s * scale
+        def submit(unit: _Unit) -> None:
+            for job in unit.jobs:
+                self._emit_job("job_start", name, job, attempt=unit.attempt)
+            future = pool.submit(
+                execute_chunk,
+                [job_payload(job, unit.attempt, self.fault) for job in unit.jobs],
             )
+            if self.timeout_s is not None:
+                # A unit's jobs run one after another in the worker.
+                unit.deadline = time.monotonic() + self.timeout_s * len(unit.jobs)
             futures[future] = unit
 
         def charge(job: FleetJob, attempt: int, exc: BaseException) -> None:
-            """Charge one failed attempt: requeue solo, or record failure."""
+            """Charge one failed attempt: requeue alone, or record failure."""
             if self.retry.should_retry(attempt, exc):
-                self._emit_retry(name, job, attempt, exc)
-                time.sleep(self.retry.delay_s(attempt, seed=job.seed))
-                queue.append(
-                    {"kind": "job", "job": job, "attempt": attempt + 1}
+                delay_s = self.retry.delay_s(attempt, seed=job.seed)
+                self._campaign_inc("fleet.job.retries")
+                self._emit_job(
+                    "job_retry",
+                    name,
+                    job,
+                    attempt=attempt,
+                    error=f"{type(exc).__name__}: {exc}",
+                    backoff_s=delay_s,
                 )
+                time.sleep(delay_s)
+                queue.append(_Unit([job], attempt + 1))
             else:
                 records[job.job_id] = self._failed(name, job, attempt, exc)
 
-        def replace_pool(reason: str) -> bool:
-            """Kill and rebuild the pool, requeueing in-flight work.
+        def overdue() -> "list[tuple[_Unit, BaseException]]":
+            """Take the units past their deadline out of ``futures``."""
+            now = time.monotonic()
+            hung: "list[tuple[_Unit, BaseException]]" = []
+            for future, unit in list(futures.items()):
+                if now < unit.deadline:
+                    continue
+                del futures[future]
+                budget = self.timeout_s * len(unit.jobs)
+                hung.append(
+                    (unit, JobTimeoutError(f"no result within {budget:.1f} s"))
+                )
+                for job in unit.jobs:
+                    self._campaign_inc("fleet.job.timeouts")
+                    self._emit_job(
+                        "job_timeout",
+                        name,
+                        job,
+                        attempt=unit.attempt,
+                        timeout_s=self.timeout_s,
+                    )
+            return hung
 
-            The caller pops culprit units first; everything left in
-            ``futures`` is innocent and goes back to the queue front at
-            its current attempt.  Returns ``False`` once the replacement
-            budget is spent — the caller then fails what remains.
+        def recover(
+            culprits: "list[tuple[_Unit, BaseException]]", reason: str
+        ) -> bool:
+            """Kill and rebuild the pool after a crash or a hang.
+
+            ``culprits`` are units already taken out of ``futures``, each
+            with the error to charge its jobs; every unit still in flight
+            is innocent and goes back to the queue front at its attempt.
+            Once the replacement budget is spent, the culprits and
+            everything queued fail instead, and this returns ``False``.
             """
             nonlocal pool, replacements
             _kill_pool(pool)
             pool.shutdown(wait=False, cancel_futures=True)
             for unit in futures.values():
-                unit["deadline"] = None
+                unit.deadline = None
                 queue.appendleft(unit)
             futures.clear()
             replacements += 1
-            if replacements > _MAX_POOL_REPLACEMENTS:
-                return False
-            self._campaign_inc("fleet.pool.replaced")
-            self._emit(
-                "pool_replaced", campaign=name, reason=reason, count=replacements
+            if replacements <= _MAX_POOL_REPLACEMENTS:
+                self._campaign_inc("fleet.pool.replaced")
+                self._emit(
+                    "pool_replaced", campaign=name, reason=reason, count=replacements
+                )
+                pool = _executor(workers, self.timeout_s)
+                for unit, exc in culprits:
+                    for job in unit.jobs:
+                        charge(job, unit.attempt, exc)
+                return True
+            for unit, exc in culprits:
+                for job in unit.jobs:
+                    records[job.job_id] = self._failed(name, job, unit.attempt, exc)
+            exhausted = ConfigurationError(
+                f"pool replacement budget exhausted "
+                f"({_MAX_POOL_REPLACEMENTS}) after {reason}"
             )
-            pool = _executor(workers, self.timeout_s)
-            return True
-
-        def settle(units: "list[dict]", reason: str, alive: bool) -> None:
-            """Charge culprit units; with a dead pool, fail everything."""
-            for unit in units:
-                attempt = unit.get("attempt", 1)
-                for job in unit_jobs(unit):
-                    if alive:
-                        charge(job, attempt, unit["error"])
-                    else:
+            while queue:
+                unit = queue.popleft()
+                for job in unit.jobs:
+                    if job.job_id not in records:
                         records[job.job_id] = self._failed(
-                            name, job, attempt, unit["error"]
+                            name, job, unit.attempt, exhausted
                         )
-            if not alive:
-                while queue:
-                    unit = queue.popleft()
-                    for job in unit_jobs(unit):
-                        if job.job_id not in records:
-                            records[job.job_id] = self._failed(
-                                name,
-                                job,
-                                unit.get("attempt", 1),
-                                ConfigurationError(
-                                    f"pool replacement budget exhausted "
-                                    f"({_MAX_POOL_REPLACEMENTS}) after "
-                                    f"{reason}"
-                                ),
-                            )
+            return False
 
         try:
             while queue or futures:
-                submit_failed = False
                 while queue and len(futures) < depth:
                     unit = queue.popleft()
                     try:
@@ -713,98 +716,44 @@ class FleetRunner:
                     except BrokenProcessPool:
                         # The pool died before accepting work; this unit
                         # is innocent.  In-flight futures now carry the
-                        # break — fall through to done-processing.
+                        # break and report it below.
                         queue.appendleft(unit)
-                        submit_failed = True
                         break
-                if submit_failed and not futures:
-                    # Broken with nothing in flight: no culprit to charge,
-                    # just rebuild (or give up) and go around again.
-                    if not replace_pool("worker_crash"):
-                        settle([], "worker_crash", alive=False)
-                        return
-                    continue
 
-                timeout = None
-                if self.timeout_s is not None and futures:
-                    now = time.monotonic()
-                    nearest = min(
-                        u["deadline"]
-                        for u in futures.values()
-                        if u["deadline"] is not None
+                # Nothing in flight means the pool refused a unit: recover
+                # with no culprit to charge.
+                culprits: "list[tuple[_Unit, BaseException]]" = []
+                reason = "worker_crash"
+                if futures:
+                    timeout = None
+                    if self.timeout_s is not None:
+                        nearest = min(u.deadline for u in futures.values())
+                        timeout = max(_WATCHDOG_TICK_S, nearest - time.monotonic())
+                    done, _ = wait(
+                        futures, timeout=timeout, return_when=FIRST_COMPLETED
                     )
-                    timeout = max(_WATCHDOG_TICK_S, nearest - now)
-                done, _ = wait(
-                    futures, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-
-                broken: "list[dict]" = []
-                for future in done:
-                    unit = futures.pop(future)
-                    try:
-                        out = future.result()
-                    except BrokenProcessPool as exc:
-                        # Every in-flight future gets this when a worker
-                        # dies; the culprit is unknowable, so each unit
-                        # is charged one attempt (bounded by the retry
-                        # budget — a persistent crasher still exhausts).
-                        unit["error"] = exc
-                        broken.append(unit)
-                    except Exception as exc:  # noqa: BLE001 - fault barrier
-                        attempt = unit.get("attempt", 1)
-                        for job in unit_jobs(unit):
-                            charge(job, attempt, exc)
-                    else:
-                        if unit["kind"] == "chunk":
-                            for job, exc in self._absorb_chunk(
-                                name, unit["chunk"], out, records
-                            ):
-                                charge(job, 1, exc)
+                    for future in done:
+                        unit = futures.pop(future)
+                        try:
+                            out = future.result()
+                        except BrokenProcessPool as exc:
+                            # Every in-flight future gets this when a worker
+                            # dies; the culprit is unknowable, so each unit
+                            # is charged one attempt (bounded by the retry
+                            # budget — a persistent crasher still exhausts).
+                            culprits.append((unit, exc))
+                        except Exception as exc:  # noqa: BLE001 - fault barrier
+                            for job in unit.jobs:
+                                charge(job, unit.attempt, exc)
                         else:
-                            job = unit["job"]
-                            records[job.job_id] = self._finished(
-                                name, job, unit["attempt"], out
-                            )
-                            self._checkpoint(name, (job.job_id,))
-                if broken:
-                    alive = replace_pool("worker_crash")
-                    settle(broken, "worker_crash", alive)
-                    if not alive:
-                        return
-
-                if self.timeout_s is not None and futures:
-                    now = time.monotonic()
-                    overdue = [
-                        (future, unit)
-                        for future, unit in futures.items()
-                        if unit["deadline"] is not None
-                        and now >= unit["deadline"]
-                    ]
-                    if overdue:
-                        hung: "list[dict]" = []
-                        for future, unit in overdue:
-                            futures.pop(future)
-                            attempt = unit.get("attempt", 1)
-                            budget = self.timeout_s * len(unit_jobs(unit))
-                            unit["error"] = JobTimeoutError(
-                                f"no result within {budget:.1f} s"
-                            )
-                            hung.append(unit)
-                            for job in unit_jobs(unit):
-                                self._campaign_inc("fleet.job.timeouts")
-                                self._emit(
-                                    "job_timeout",
-                                    campaign=name,
-                                    job_id=job.job_id,
-                                    label=job.label,
-                                    server=job.server.name,
-                                    attempt=attempt,
-                                    timeout_s=self.timeout_s,
-                                )
-                        alive = replace_pool("job_timeout")
-                        settle(hung, "job_timeout", alive)
-                        if not alive:
-                            return
+                            for job, exc in self._absorb(name, unit, out, records):
+                                charge(job, unit.attempt, exc)
+                    if not culprits and self.timeout_s is not None:
+                        culprits, reason = overdue(), "job_timeout"
+                    if not culprits:
+                        continue
+                if not recover(culprits, reason):
+                    return
         finally:
             if futures:
                 # Abnormal exit with work in flight: a hung worker would
@@ -812,45 +761,41 @@ class FleetRunner:
                 _kill_pool(pool)
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def _absorb_chunk(
+    def _absorb(
         self,
         name: str,
-        chunk: "list[FleetJob]",
+        unit: "_Unit",
         out: dict,
         records: "dict[str, JobRecord]",
     ) -> "list[tuple[FleetJob, BaseException]]":
-        """Record a chunk's successes; return failed (job, error) pairs.
+        """Record and checkpoint a unit's successes; return its failed
+        (job, error) pairs.
 
-        The chunk's wall time is split evenly across its entries so
-        summed record walls still estimate serial campaign cost; its
-        metrics snapshot merges once (per-entry snapshots would double
-        count).
+        ``out["entries"]`` align with ``unit.jobs``.  The unit's wall time
+        is split evenly across its jobs so summed record walls still
+        estimate serial campaign cost; its metrics snapshot merges once
+        (per-entry snapshots would double count).
         """
-        snapshot = out.get("metrics")
-        if snapshot and self._worker_metrics is not None:
-            self._worker_metrics.merge(snapshot)
-        share = out["wall_s"] / max(len(chunk), 1)
-        by_id = {job.job_id: job for job in chunk}
+        if out["metrics"] and self._worker_metrics is not None:
+            self._worker_metrics.merge(out["metrics"])
+        share = out["wall_s"] / len(unit.jobs)
         failed: "list[tuple[FleetJob, BaseException]]" = []
         succeeded: list[str] = []
-        for entry in out["entries"]:
-            job = by_id[entry["job_id"]]
+        for job, entry in zip(unit.jobs, out["entries"]):
             if entry["error"] is None:
                 records[job.job_id] = self._finished(
-                    name,
-                    job,
-                    1,
-                    {
-                        "result": entry["result"],
-                        "wall_s": share,
-                        "worker": out["worker"],
-                        "metrics": None,
-                    },
+                    name, job, unit.attempt, entry["result"], share, out["worker"]
                 )
                 succeeded.append(job.job_id)
             else:
                 failed.append((job, entry["error"]))
-        self._checkpoint(name, succeeded)
+        if self.events is not None and succeeded:
+            # Unlike ordinary events, checkpoints are fsynced: after a
+            # SIGKILL, completed_job_ids replays exactly the jobs whose
+            # results are safely on disk.
+            self.events.emit(
+                "checkpoint", _sync=True, campaign=name, job_ids=succeeded
+            )
         return failed
 
     # -- bookkeeping ----------------------------------------------------
@@ -866,94 +811,53 @@ class FleetRunner:
             self._worker_metrics.inc(metric)
 
     def _finished(
-        self, name: str, job: FleetJob, attempt: int, out: dict
+        self,
+        name: str,
+        job: FleetJob,
+        attempt: int,
+        result: RunResult,
+        wall_s: float,
+        worker: int,
     ) -> JobRecord:
-        result: RunResult = out["result"]
-        snapshot = out.get("metrics")
-        if snapshot and self._worker_metrics is not None:
-            self._worker_metrics.merge(snapshot)
         self._campaign_inc("fleet.job.completed")
         if self._worker_metrics is not None:
-            self._worker_metrics.observe("fleet.job.seconds", out["wall_s"])
+            self._worker_metrics.observe("fleet.job.seconds", wall_s)
         if self.cache is not None:
-            self.cache.put(job_cache_key(job), result, out["wall_s"])
-        self._emit(
-            "job_finish",
-            campaign=name,
-            job_id=job.job_id,
-            label=job.label,
-            server=job.server.name,
-            attempt=attempt,
-            worker=out["worker"],
-            wall_s=out["wall_s"],
+            self.cache.put(job_cache_key(job), result, wall_s)
+        self._emit_job(
+            "job_finish", name, job, attempt=attempt, worker=worker, wall_s=wall_s
         )
         return JobRecord(
-            job=job,
-            result=result,
-            cached=False,
-            attempts=attempt,
-            wall_s=out["wall_s"],
+            job=job, result=result, cached=False, attempts=attempt, wall_s=wall_s
         )
 
     def _failed(
         self, name: str, job: FleetJob, attempts: int, exc: BaseException
     ) -> JobRecord:
+        error = f"{type(exc).__name__}: {exc}"
         self._campaign_inc("fleet.job.failures")
-        self._emit(
-            "job_failed",
-            campaign=name,
-            job_id=job.job_id,
-            label=job.label,
-            server=job.server.name,
-            attempt=attempts,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        self._emit_job("job_failed", name, job, attempt=attempts, error=error)
         return JobRecord(
             job=job,
             result=None,
             cached=False,
             attempts=attempts,
             wall_s=0.0,
-            error=f"{type(exc).__name__}: {exc}",
+            error=error,
         )
-
-    def _emit_start(self, name: str, job: FleetJob, attempt: int) -> None:
-        self._emit(
-            "job_start",
-            campaign=name,
-            job_id=job.job_id,
-            label=job.label,
-            server=job.server.name,
-            attempt=attempt,
-        )
-
-    def _emit_retry(
-        self, name: str, job: FleetJob, attempt: int, exc: BaseException
-    ) -> None:
-        self._campaign_inc("fleet.job.retries")
-        self._emit(
-            "job_retry",
-            campaign=name,
-            job_id=job.job_id,
-            label=job.label,
-            server=job.server.name,
-            attempt=attempt,
-            error=f"{type(exc).__name__}: {exc}",
-            backoff_s=self.retry.delay_s(attempt, seed=job.seed),
-        )
-
-    def _checkpoint(self, name: str, job_ids) -> None:
-        """Durably journal completed jobs — the ``--resume`` anchor.
-
-        Unlike ordinary events, checkpoints are fsynced: after a
-        SIGKILL, :func:`~repro.fleet.events.completed_job_ids` replays
-        exactly the jobs whose results are safely on disk.
-        """
-        if self.events is not None and job_ids:
-            self.events.emit(
-                "checkpoint", _sync=True, campaign=name, job_ids=list(job_ids)
-            )
 
     def _emit(self, kind: str, **fields) -> None:
         if self.events is not None:
             self.events.emit(kind, **fields)
+
+    def _emit_job(self, kind: str, name: str, job: FleetJob, **fields) -> None:
+        """Emit one of the per-job events, which all name their job alike."""
+        if self.events is not None:
+            self.events.emit(
+                kind,
+                campaign=name,
+                job_id=job.job_id,
+                label=job.label,
+                server=job.server.name,
+                **fields,
+            )

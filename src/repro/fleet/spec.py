@@ -24,6 +24,7 @@ from repro import io as repro_io
 from repro.demand import ResourceDemand
 from repro.errors import ConfigurationError, ReproError, WorkloadError
 from repro.hardware.specs import BUILTIN_SERVERS, ServerSpec, get_server
+from repro.hardware.topology import PROCESS_PLACEMENTS
 from repro.workloads.base import Workload
 from repro.workloads.hpcc import HpccWorkload
 from repro.workloads.hpl import HplConfig, HplWorkload
@@ -243,6 +244,11 @@ class CampaignSpec:
             raise ConfigurationError(
                 "a campaign needs workloads or evaluation_matrix=True"
             )
+        if self.placement not in PROCESS_PLACEMENTS:
+            raise ConfigurationError(
+                f"campaign field 'placement' must be one of "
+                f"{PROCESS_PLACEMENTS}, got {self.placement!r}"
+            )
 
     def jobs(self) -> tuple[FleetJob, ...]:
         """Expand the spec into the concrete job list, in stable order."""
@@ -293,8 +299,10 @@ def campaign_from_dict(data: dict[str, Any]) -> CampaignSpec:
 
     Campaign documents are outside input: a missing ``name`` or
     ``servers``, a ``servers`` or ``workloads`` value that is not a
-    list, a workload that is not an object or a ``seed`` that is not an
-    integer raises :class:`ConfigurationError` naming the field.
+    list, a workload that is not an object, a ``seed`` that is not an
+    integer, an ``evaluation_matrix`` that is not a bool or a
+    ``placement`` :func:`~repro.hardware.topology.place_processes` does
+    not accept raises :class:`ConfigurationError` naming the field.
     """
     kind = data.get("kind")
     if kind != CAMPAIGN_KIND:
@@ -322,6 +330,12 @@ def campaign_from_dict(data: dict[str, Any]) -> CampaignSpec:
         raise ConfigurationError(
             f"campaign field 'seed' must be an integer, got {seed!r}"
         )
+    matrix = data.get("evaluation_matrix", False)
+    if not isinstance(matrix, bool):
+        raise ConfigurationError(
+            "campaign field 'evaluation_matrix' must be a bool, "
+            f"got {matrix!r}"
+        )
     workloads = tuple(dict(w) for w in data.get("workloads", ()))
     for w in workloads:
         workload_from_dict(w)  # validate eagerly, fail at load time
@@ -329,7 +343,7 @@ def campaign_from_dict(data: dict[str, Any]) -> CampaignSpec:
         name=data["name"],
         servers=tuple(repro_io.server_from_ref(r) for r in data["servers"]),
         workloads=workloads,
-        evaluation_matrix=bool(data.get("evaluation_matrix", False)),
+        evaluation_matrix=matrix,
         seed=seed,
         placement=data.get("placement", "compact"),
     )

@@ -7,11 +7,13 @@ process, since a campaign typically reuses a handful of servers — runs
 the workload, and returns the full :class:`~repro.engine.trace.RunResult`
 (small: a few KB of pickled arrays).
 
-The runner's two unit kinds have one target each: a chunk goes to
-:func:`execute_chunk`, a solo retry to :func:`execute_job`.  Both run
-one private body, so the per-payload fault barrier, the timing and the
-per-call metrics registry are written once.  An inline campaign
-(``workers=1``) calls the same targets in the runner's own process.
+The runner sends every dispatch unit — the jobs of one first-attempt
+chunk, or one job's retry — to :func:`execute_chunk`, whose entries come
+back aligned with the unit's jobs.  :func:`execute_job` is its one-job
+form, raising the job's error; both run one private body, so the
+per-payload fault barrier, the timing and the per-call metrics registry
+are written once.  An inline campaign (``workers=1``) calls the same
+target in the runner's own process.
 
 Fault injection for tests and chaos drills is deterministic: a
 :class:`FaultInjection` names jobs by label substring and the number of
@@ -150,11 +152,11 @@ def job_payload(
 
 
 def execute_job(payload: dict[str, Any]) -> dict[str, Any]:
-    """Run one job attempt; the target of a solo retry.
+    """Run one job attempt: :func:`execute_chunk` for one payload.
 
     Returns ``{"job_id", "result": RunResult, "wall_s", "worker",
-    "metrics"}``.  The job's exception propagates to the parent, which
-    applies the retry policy.
+    "metrics"}``.  The job's exception propagates to the caller; the
+    runner itself dispatches only through :func:`execute_chunk`.
     """
     out = _execute([payload])
     (entry,) = out.pop("entries")
@@ -166,9 +168,9 @@ def execute_job(payload: dict[str, Any]) -> dict[str, Any]:
 def execute_chunk(payloads: "list[dict[str, Any]]") -> dict[str, Any]:
     """Run a batch of job payloads in one worker round-trip.
 
-    The chunked pool target: the payloads run one after another, which
-    is bit-identical to per-job execution while amortising the
-    pickle/dispatch overhead.
+    The runner's one target, for a chunk and a retry alike: the payloads
+    run one after another, which is bit-identical to per-job execution
+    while amortising the pickle/dispatch overhead.
 
     Returns ``{"entries", "wall_s", "worker", "metrics"}`` where each
     entry is ``{"job_id", "result": RunResult | None, "error":

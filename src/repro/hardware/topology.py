@@ -18,7 +18,10 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.hardware.specs import ServerSpec
 
-__all__ = ["Placement", "place_processes"]
+__all__ = ["PROCESS_PLACEMENTS", "Placement", "place_processes"]
+
+#: The process placement policies :func:`place_processes` accepts.
+PROCESS_PLACEMENTS: tuple[str, ...] = ("compact", "scatter")
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,7 @@ def place_processes(
                 )
     else:
         raise ConfigurationError(
-            f"unknown placement policy {policy!r}; use 'compact' or 'scatter'"
+            f"unknown placement policy {policy!r}; use "
+            + " or ".join(repr(name) for name in PROCESS_PLACEMENTS)
         )
     return Placement(nprocs=nprocs, cores_per_chip_used=tuple(per_chip))

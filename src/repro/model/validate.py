@@ -37,8 +37,8 @@ from repro.core.regression import (
     PowerRegressionModel,
     RegressionDataset,
     collect_hpcc_training,
-    collect_npb_features,
     train_power_model,
+    verify_on_npb,
 )
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
@@ -410,31 +410,23 @@ def validate_model(
     """Full validation pass: CV on ``dataset``, drift on NPB ``klasses``.
 
     ``model`` must have been trained on ``dataset`` (its training R² is
-    one of the banded checks).  ``backend`` routes the NPB sweeps
-    through the fleet.  ``bands`` overrides :data:`R2_BANDS`.
+    one of the banded checks).  Each class's drift is scored from
+    :func:`~repro.core.regression.verify_on_npb`, so a sweep of fewer
+    than three runs raises :class:`~repro.errors.RegressionError`.
+    ``backend`` routes the NPB sweeps through the fleet.  ``bands``
+    overrides :data:`R2_BANDS`.
     """
     bands = {**R2_BANDS, **(bands or {})}
     fold_scores = kfold_cv(dataset, k=folds, seed=seed)
     drifts: list[ClassDrift] = []
     for klass in klasses:
-        band = bands.get(klass, (0.0, 1.0))
-        labels, features, watts = collect_npb_features(
-            server, klass, simulator, backend
-        )
-        predicted = model.predict_normalized(features)
-        measured = model.normalize_power(watts)
-        by_program: dict[str, list[float]] = {}
-        for label, diff in zip(labels, measured - predicted):
-            by_program.setdefault(label.split(".")[0], []).append(diff)
+        verification = verify_on_npb(server, model, klass, simulator, backend)
         drift = ClassDrift(
             npb_class=klass,
-            n_runs=len(labels),
-            r_squared=r_squared(measured, predicted),
-            band=band,
-            per_program_rms={
-                name: float(np.sqrt(np.mean(np.square(values))))
-                for name, values in sorted(by_program.items())
-            },
+            n_runs=len(verification.labels),
+            r_squared=verification.r_squared,
+            band=bands.get(klass, (0.0, 1.0)),
+            per_program_rms=verification.per_program_rms(),
         )
         obs.observe(f"model.validate.npb_{klass.lower()}_r2", drift.r_squared)
         if not drift.within_band:

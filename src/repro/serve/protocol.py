@@ -293,7 +293,9 @@ def parse_submission(
         from repro.fleet.spec import campaign_from_dict
 
         try:
-            campaign_from_dict(campaign_doc)
+            # Expanding the jobs catches what only the expansion sees,
+            # such as a workload that repeats an evaluation-matrix state.
+            campaign_from_dict(campaign_doc).jobs()
         except ConfigurationError as exc:
             raise HttpError(400, "invalid_campaign", str(exc)) from exc
         return Submission(
@@ -311,10 +313,11 @@ def parse_submission(
             resolve_server(server)
         except ConfigurationError as exc:
             raise HttpError(404, "unknown_server", str(exc)) from exc
-        try:
-            seed = int(document.get("seed", 0))
-        except (TypeError, ValueError) as exc:
-            raise HttpError(400, "invalid_seed", "seed must be an int") from exc
+        seed = document.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise HttpError(
+                400, "invalid_seed", f"seed must be an int, got {seed!r}"
+            )
         return Submission(
             tenant=tenant,
             priority=priority,

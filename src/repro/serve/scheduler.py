@@ -45,7 +45,7 @@ from repro.engine.trace import RunResult
 from repro.errors import ReproError, StorageDegradedError
 from repro.fleet.cache import ResultCache, canonical_digest, job_cache_key
 from repro.fleet.events import EventLog
-from repro.fleet.runner import FleetRunner, RetryPolicy
+from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import FleetJob
 from repro.hardware.zoo import resolve_server
 from repro.metering.analysis import DEFAULT_TRIM, extract_window, trimmed_stats
@@ -146,7 +146,6 @@ class ServeScheduler:
         slots: int = 2,
         fleet_workers: int = 1,
         shed_job_budget: int = 2,
-        retry: "RetryPolicy | None" = None,
     ):
         if slots < 1:
             raise ReproError(f"slots must be >= 1, got {slots}")
@@ -158,7 +157,6 @@ class ServeScheduler:
         self.slots = slots
         self.fleet_workers = fleet_workers
         self.shed_job_budget = shed_job_budget
-        self.retry = retry or RetryPolicy()
         self.queues = TenantQueues(policy)
         self.cache = ResultCache(state.cache_dir)
         self.events = EventLog(state.events_path)
@@ -515,7 +513,6 @@ class ServeScheduler:
             workers=self.fleet_workers,
             cache=self.cache,
             events=self.events,
-            retry=self.retry,
         ).run_jobs(jobs, name=record.campaign_id)
         with self._cond:
             self.counters["deduped_jobs"] += outcome.cache_hits

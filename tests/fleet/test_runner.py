@@ -183,7 +183,7 @@ class TestFaultTolerance:
         assert record.attempts == 2
 
     def test_backoff_schedule_is_exponential(self):
-        policy = RetryPolicy(max_attempts=4, backoff_s=0.1, multiplier=2.0)
+        policy = RetryPolicy(max_attempts=4, backoff_s=0.1)
         assert policy.delay_s(1) == pytest.approx(0.1)
         assert policy.delay_s(2) == pytest.approx(0.2)
         assert policy.delay_s(3) == pytest.approx(0.4)

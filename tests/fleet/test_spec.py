@@ -134,6 +134,15 @@ class TestCampaignSpec:
         with pytest.raises(ConfigurationError):
             CampaignSpec(name="no-servers", servers=(), evaluation_matrix=True)
 
+    def test_unknown_placement_rejected(self):
+        with pytest.raises(ConfigurationError, match="placement"):
+            CampaignSpec(
+                name="bogus",
+                servers=(XEON_E5462,),
+                evaluation_matrix=True,
+                placement="bogus",
+            )
+
     def test_wrong_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             campaign_from_dict({"kind": "evaluation", "schema_version": 1})
@@ -154,6 +163,8 @@ class TestCampaignSpec:
             ("workloads", [5]),
             ("seed", "x"),
             ("seed", 1.5),
+            ("evaluation_matrix", "false"),
+            ("placement", "bogus"),
         ],
     )
     def test_malformed_field_is_a_configuration_error(self, field, value):

@@ -153,6 +153,24 @@ class TestParseSubmission:
         assert (exc.value.status, exc.value.code) == (400, "invalid_campaign")
         assert field in exc.value.detail
 
+    def test_campaign_with_a_duplicate_job_is_400(self):
+        # The demo's ep.C.1 is also an evaluation-matrix state; only the
+        # job expansion sees the repeat.
+        from repro.fleet import campaign_to_dict, demo_campaign
+
+        doc = campaign_to_dict(demo_campaign())
+        doc["evaluation_matrix"] = True
+        with pytest.raises(HttpError) as exc:
+            parse_submission({"campaign": doc}, None)
+        assert (exc.value.status, exc.value.code) == (400, "invalid_campaign")
+        assert "duplicate job" in exc.value.detail
+
+    @pytest.mark.parametrize("seed", [7.9, True])
+    def test_non_integer_seed_is_400(self, seed):
+        with pytest.raises(HttpError) as exc:
+            parse_submission({"server": "Xeon-E5462", "seed": seed}, None)
+        assert (exc.value.status, exc.value.code) == (400, "invalid_seed")
+
     def test_fleet_kind_roundtrips(self):
         from repro.fleet import campaign_to_dict, demo_campaign
 

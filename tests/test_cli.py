@@ -268,6 +268,22 @@ class TestFleet:
         assert err.startswith("error: ")
         assert "name" in err
 
+    def test_unknown_placement_is_a_usage_error(self, capsys, tmp_path):
+        # Refused at load time, not by failing every job in its slot.
+        spec_path = tmp_path / "campaign.json"
+        run_cli(capsys, "fleet", "init", str(spec_path))
+        data = json.loads(spec_path.read_text())
+        data["placement"] = "bogus"
+        spec_path.write_text(json.dumps(data))
+        code, _out, err = run_cli(
+            capsys,
+            "fleet", "run", str(spec_path),
+            "--serial", "--cache-dir", "", "--events", "",
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "placement" in err
+
     def test_status_without_events_is_an_error(self, capsys, tmp_path):
         code, _out, err = run_cli(
             capsys, "fleet", "status", str(tmp_path / "missing.jsonl")
