@@ -282,7 +282,7 @@ def compact(path: "str | Path", drop: "Collection[int]") -> None:
             if line.record is not None and line.lineno not in drop
         ]
         safewrite.write_atomic(
-            path.with_suffix(f".tmp.{os.getpid()}"), path, b"".join(kept)
+            path.with_suffix(".tmp"), path, b"".join(kept)
         )
     finally:
         os.close(guard)

@@ -121,12 +121,16 @@ def is_degrading(exc: BaseException) -> bool:
 def write_atomic(tmp: Path, dest: Path, payload: bytes) -> None:
     """Durable atomic write: temp file, flush to disk, rename.
 
+    The temp file is ``tmp`` plus ``.<pid>-<thread id>``, so no two
+    writers share one, whether they run in two processes or in two
+    threads of one (the serve daemon's slots write one result cache).
     On a capacity/media failure the temp file is removed (a dying write
     must not leak half-entries for readers to trip over) and
     :class:`StorageDegradedError` raised; ``dest`` is either the old
     complete content or the new complete content, never a mix.
     """
     tmp = Path(tmp)
+    tmp = tmp.with_name(f"{tmp.name}.{os.getpid()}-{threading.get_ident()}")
     dest = Path(dest)
     try:
         _consume_token()

@@ -39,6 +39,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Any
 
@@ -50,6 +51,7 @@ from repro.doctor import safewrite
 from repro.errors import ReproError, SimulationError, StorageDegradedError
 from repro.engine.trace import PMU_COLUMNS, RunResult
 from repro.fleet.spec import FleetJob
+from repro.hardware.specs import ServerSpec
 
 __all__ = [
     "CACHE_SALT",
@@ -115,18 +117,31 @@ def canonical_digest(document: Any) -> str:
     return hashlib.sha256(canonical_json(document).encode()).hexdigest()
 
 
-def job_cache_key(job: FleetJob) -> str:
-    """SHA-256 cache key of one fleet job."""
+@lru_cache(maxsize=32)
+def _server_json(server: ServerSpec) -> str:
+    """:func:`canonical_json` of a server's document, encoded once per
+    server: a campaign runs many jobs on few servers, and both the cache
+    key and the worker payload embed it."""
     from repro import io as repro_io
 
-    payload = {
-        "salt": CACHE_SALT,
-        "server": repro_io.server_to_dict(job.server),
-        "workload": job.workload,
-        "seed": job.seed,
-        "placement": job.placement,
-    }
-    return canonical_digest(payload)
+    return canonical_json(repro_io.server_to_dict(server))
+
+
+def job_cache_key(job: FleetJob) -> str:
+    """SHA-256 cache key of one fleet job.
+
+    The :func:`canonical_digest` of ``{salt, server, workload, seed,
+    placement}``, written out in sorted key order so the server's part
+    comes from :func:`_server_json`.
+    """
+    document = (
+        f'{{"placement":{canonical_json(job.placement)},'
+        f'"salt":{canonical_json(CACHE_SALT)},'
+        f'"seed":{canonical_json(job.seed)},'
+        f'"server":{_server_json(job.server)},'
+        f'"workload":{canonical_json(job.workload)}}}'
+    )
+    return hashlib.sha256(document.encode()).hexdigest()
 
 
 #: Array layout of one result: the four trace arrays, then one column
@@ -392,7 +407,7 @@ class ResultCache:
         }
         document["meta_sha256"] = _meta_sha256(document)
         safewrite.write_atomic(
-            path.with_suffix(f".tmp.{os.getpid()}"),
+            path.with_suffix(".tmp"),
             path,
             b"".join([_entry_bytes(document), b"\n", *chunks]),
         )

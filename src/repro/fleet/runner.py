@@ -6,11 +6,13 @@ one worker, run inline in this process.  Both go through one dispatch
 loop; only the executor differs.  Before a job is submitted its
 content-addressed cache key is consulted; hits are returned without
 touching the executor, which is what makes repeated sweeps and
-benchmarks near-free.  Failed attempts are retried with exponential
-backoff up to the retry policy's budget; jobs that exhaust it are
-recorded in the outcome's failure report while the rest of the campaign
-completes — a campaign never aborts because one point misbehaved.  A
-deterministic error (a :class:`~repro.errors.ConfigurationError` or
+benchmarks near-free.  A miss carries its key to the worker, which
+writes the entry of the result it computed.  Failed attempts are
+retried with exponential backoff up to the retry policy's budget; jobs
+that exhaust it are recorded in the outcome's failure report while the
+rest of the campaign completes — a campaign never aborts because one
+point misbehaved.  A deterministic error (a
+:class:`~repro.errors.ConfigurationError` or
 :class:`~repro.errors.WorkloadError`: the job itself is invalid) fails
 its job on the first attempt, since every retry would fail the same way.
 
@@ -512,12 +514,14 @@ class FleetRunner:
         with obs.span("fleet.campaign", campaign=name, workers=workers):
             records: dict[str, JobRecord] = {}
             pending: list[FleetJob] = []
+            # One key per job: its lookup here, its entry's write in the
+            # worker that computes it.
+            keys: dict[str, str] = {}
             for job in jobs:
-                hit = (
-                    self.cache.get(job_cache_key(job))
-                    if self.cache is not None
-                    else None
-                )
+                hit = None
+                if self.cache is not None:
+                    keys[job.job_id] = job_cache_key(job)
+                    hit = self.cache.get(keys[job.job_id])
                 if hit is not None:
                     self._emit_job("cache_hit", name, job, wall_s=hit.wall_s)
                     records[job.job_id] = JobRecord(
@@ -536,7 +540,7 @@ class FleetRunner:
                     if self.chunk_size is not None
                     else auto_chunk_size(len(pending), workers)
                 )
-                self._dispatch(pending, name, workers, records, chunk_size)
+                self._dispatch(pending, name, workers, records, chunk_size, keys)
 
         wall_s = time.perf_counter() - t0
         metrics = None
@@ -575,6 +579,7 @@ class FleetRunner:
         workers: int,
         records: "dict[str, JobRecord]",
         chunk_size: int,
+        keys: "dict[str, str]",
     ) -> None:
         """The one dispatch loop: retries, watchdog, pool replacement.
 
@@ -610,12 +615,15 @@ class FleetRunner:
         )
 
         def submit(unit: _Unit) -> None:
+            payloads = []
             for job in unit.jobs:
                 self._emit_job("job_start", name, job, attempt=unit.attempt)
-            future = pool.submit(
-                execute_chunk,
-                [job_payload(job, unit.attempt, self.fault) for job in unit.jobs],
-            )
+                payload = job_payload(job, unit.attempt, self.fault)
+                if self.cache is not None:
+                    payload["cache_root"] = self.cache.root
+                    payload["cache_key"] = keys[job.job_id]
+                payloads.append(payload)
+            future = pool.submit(execute_chunk, payloads)
             if self.timeout_s is not None:
                 # A unit's jobs run one after another in the worker.
                 unit.deadline = time.monotonic() + self.timeout_s * len(unit.jobs)
@@ -771,28 +779,44 @@ class FleetRunner:
         """Record and checkpoint a unit's successes; return its failed
         (job, error) pairs.
 
-        ``out["entries"]`` align with ``unit.jobs``.  The unit's wall time
-        is split evenly across its jobs so summed record walls still
-        estimate serial campaign cost; its metrics snapshot merges once
-        (per-entry snapshots would double count).
+        ``out["entries"]`` align with ``unit.jobs``.  Each success carries
+        the job's own ``wall_s``, so summed record walls estimate serial
+        campaign cost, and, with a cache, whether the worker's write of
+        its entry landed (counted in ``cache.stats``).  A write error
+        that is no disk degradation is raised here: the job did not
+        fail, so no attempt is charged.  The unit's metrics snapshot
+        merges once (per-entry snapshots would double count).
         """
         if out["metrics"] and self._worker_metrics is not None:
             self._worker_metrics.merge(out["metrics"])
-        share = out["wall_s"] / len(unit.jobs)
         failed: "list[tuple[FleetJob, BaseException]]" = []
         succeeded: list[str] = []
         for job, entry in zip(unit.jobs, out["entries"]):
-            if entry["error"] is None:
-                records[job.job_id] = self._finished(
-                    name, job, unit.attempt, entry["result"], share, out["worker"]
-                )
-                succeeded.append(job.job_id)
-            else:
+            if entry["error"] is not None:
                 failed.append((job, entry["error"]))
+                continue
+            if self.cache is not None:
+                stored = entry["stored"]
+                if isinstance(stored, Exception):
+                    raise stored
+                if stored:
+                    self.cache.stats.writes += 1
+                else:
+                    self.cache.stats.degraded += 1
+            records[job.job_id] = self._finished(
+                name,
+                job,
+                unit.attempt,
+                entry["result"],
+                entry["wall_s"],
+                out["worker"],
+            )
+            succeeded.append(job.job_id)
         if self.events is not None and succeeded:
             # Unlike ordinary events, checkpoints are fsynced: after a
             # SIGKILL, completed_job_ids replays exactly the jobs whose
-            # results are safely on disk.
+            # results are safely on disk (each entry was written before
+            # its unit returned).
             self.events.emit(
                 "checkpoint", _sync=True, campaign=name, job_ids=succeeded
             )
@@ -822,8 +846,6 @@ class FleetRunner:
         self._campaign_inc("fleet.job.completed")
         if self._worker_metrics is not None:
             self._worker_metrics.observe("fleet.job.seconds", wall_s)
-        if self.cache is not None:
-            self.cache.put(job_cache_key(job), result, wall_s)
         self._emit_job(
             "job_finish", name, job, attempt=attempt, worker=worker, wall_s=wall_s
         )

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Any
 
 from repro import io as repro_io
@@ -160,7 +161,8 @@ class FleetJob:
     """One unit of fleet work: run one workload on one server.
 
     The workload is carried in its serialised form so jobs are cheap to
-    pickle to workers and to hash into cache keys.
+    pickle to workers and to hash into cache keys.  Nothing mutates a
+    job's ``workload``, so its :attr:`job_id` is computed once.
     """
 
     server: ServerSpec
@@ -169,7 +171,7 @@ class FleetJob:
     seed: int = 0
     placement: str = "compact"
 
-    @property
+    @cached_property
     def job_id(self) -> str:
         """Content-based identifier: equal ids mean equal work.
 

@@ -11,9 +11,13 @@ The runner sends every dispatch unit — the jobs of one first-attempt
 chunk, or one job's retry — to :func:`execute_chunk`, whose entries come
 back aligned with the unit's jobs.  :func:`execute_job` is its one-job
 form, raising the job's error; both run one private body, so the
-per-payload fault barrier, the timing and the per-call metrics registry
-are written once.  An inline campaign (``workers=1``) calls the same
-target in the runner's own process.
+per-payload fault barrier, the timing, the cache write and the per-call
+metrics registry are written once.  An inline campaign (``workers=1``)
+calls the same target in the runner's own process.
+
+When the campaign has a cache, the worker that computed a job writes
+its entry, so a pool's writes run in parallel across its workers; each
+entry tells the runner whether the write landed.
 
 Fault injection for tests and chaos drills is deterministic: a
 :class:`FaultInjection` names jobs by label substring and the number of
@@ -33,6 +37,7 @@ from typing import Any
 from repro import obs
 from repro.engine.simulator import Simulator
 from repro.errors import SimulationError
+from repro.fleet.cache import ResultCache, _server_json
 from repro.fleet.spec import workload_from_dict
 
 __all__ = [
@@ -129,16 +134,14 @@ def job_payload(
 ) -> dict[str, Any]:
     """Build the picklable payload for one job attempt.
 
-    ``job`` is a :class:`~repro.fleet.spec.FleetJob`; typed loosely to
-    keep this module import-light for worker processes.
+    ``job`` is a :class:`~repro.fleet.spec.FleetJob`.  A runner with a
+    cache sets ``cache_root`` and ``cache_key`` (the key of its lookup),
+    and the worker then writes the job's entry.
     """
-    from repro import io as repro_io
-    from repro.fleet.cache import canonical_json
-
     return {
         "job_id": job.job_id,
         "label": job.label,
-        "server_json": canonical_json(repro_io.server_to_dict(job.server)),
+        "server_json": _server_json(job.server),
         "workload": job.workload,
         "seed": job.seed,
         "placement": job.placement,
@@ -148,6 +151,8 @@ def job_payload(
         # (which inherit neither a programmatic enable() nor, possibly,
         # the environment) behave like fork pools.
         "obs": obs.enabled(),
+        "cache_root": None,
+        "cache_key": None,
     }
 
 
@@ -162,7 +167,12 @@ def execute_job(payload: dict[str, Any]) -> dict[str, Any]:
     (entry,) = out.pop("entries")
     if entry["error"] is not None:
         raise entry["error"]
-    return {"job_id": entry["job_id"], "result": entry["result"], **out}
+    return {
+        "job_id": entry["job_id"],
+        "result": entry["result"],
+        "wall_s": entry["wall_s"],
+        **out,
+    }
 
 
 def execute_chunk(payloads: "list[dict[str, Any]]") -> dict[str, Any]:
@@ -172,9 +182,10 @@ def execute_chunk(payloads: "list[dict[str, Any]]") -> dict[str, Any]:
     run one after another, which is bit-identical to per-job execution
     while amortising the pickle/dispatch overhead.
 
-    Returns ``{"entries", "wall_s", "worker", "metrics"}`` where each
-    entry is ``{"job_id", "result": RunResult | None, "error":
-    Exception | None}``, positionally aligned with ``payloads``.  Unlike
+    Returns ``{"entries", "worker", "metrics"}`` where each entry is
+    ``{"job_id", "result": RunResult | None, "error": Exception | None,
+    "wall_s"}``, positionally aligned with ``payloads``, plus ``stored``
+    for a result written to the cache (see :func:`_store`).  Unlike
     :func:`execute_job`, per-job failures (injected faults, workload
     errors) never raise — they come back in the entry so the runner can
     retry just that job, not the whole chunk.
@@ -183,7 +194,7 @@ def execute_chunk(payloads: "list[dict[str, Any]]") -> dict[str, Any]:
 
 
 def _execute(payloads: "list[dict[str, Any]]") -> dict[str, Any]:
-    """The one worker body: run payloads in order, timed, each behind
+    """The one worker body: run payloads in order, each timed and behind
     its own fault barrier.
 
     ``metrics`` is a :meth:`~repro.obs.MetricsRegistry.snapshot` of the
@@ -193,8 +204,6 @@ def _execute(payloads: "list[dict[str, Any]]") -> dict[str, Any]:
     collect = any(p.get("obs") for p in payloads)
     if collect:
         obs.enable()
-    t0 = time.perf_counter()
-    if collect:
         # An isolated registry keeps these jobs' metrics separable from
         # whatever else the process has counted; the snapshot rides home
         # with the result and merges exactly on the runner side.
@@ -205,18 +214,18 @@ def _execute(payloads: "list[dict[str, Any]]") -> dict[str, Any]:
     else:
         entries = [_run_payload(p) for p in payloads]
         metrics = None
-    return {
-        "entries": entries,
-        "wall_s": time.perf_counter() - t0,
-        "worker": os.getpid(),
-        "metrics": metrics,
-    }
+    return {"entries": entries, "worker": os.getpid(), "metrics": metrics}
 
 
 def _run_payload(payload: dict[str, Any]) -> dict[str, Any]:
-    """One job's entry: its result, or the exception it raised."""
+    """One job's entry: its result, or the exception it raised.
+
+    ``wall_s`` is the job's own time, fault hook included; a result is
+    then written to the cache, outside that time.
+    """
     entry = {"job_id": payload["job_id"], "result": None, "error": None}
     fault: "FaultInjection | None" = payload["fault"]
+    t0 = time.perf_counter()
     try:
         if fault is not None and fault.should_fail(
             payload["label"], payload["attempt"]
@@ -230,4 +239,26 @@ def _run_payload(payload: dict[str, Any]) -> dict[str, Any]:
         entry["result"] = simulator.run(workload_from_dict(payload["workload"]))
     except Exception as exc:  # noqa: BLE001 - fault barrier
         entry["error"] = exc
+    entry["wall_s"] = time.perf_counter() - t0
+    if entry["result"] is not None and payload["cache_key"] is not None:
+        entry["stored"] = _store(payload, entry["result"], entry["wall_s"])
     return entry
+
+
+def _store(
+    payload: dict[str, Any], result: Any, wall_s: float
+) -> "bool | Exception":
+    """Write a computed job's cache entry through
+    :meth:`~repro.fleet.cache.ResultCache.put`.
+
+    ``True`` when the entry landed, ``False`` when the disk degraded the
+    write, or the exception any other write failure raised: the runner
+    raises it, since the job did not fail.
+    """
+    try:
+        path = ResultCache(payload["cache_root"]).put(
+            payload["cache_key"], result, wall_s
+        )
+    except Exception as exc:  # noqa: BLE001 - raised by the runner
+        return exc
+    return path is not None

@@ -39,7 +39,6 @@ silently corrupted model.
 from __future__ import annotations
 
 import json
-import os
 import re
 import time
 from dataclasses import dataclass
@@ -348,7 +347,7 @@ class ModelRegistry:
         directory.mkdir(parents=True, exist_ok=True)
         path = self._path(name, version)
         self._write_atomic(
-            path.with_suffix(f".tmp.{os.getpid()}"),
+            path.with_suffix(".tmp"),
             path,
             json.dumps(document, indent=2, sort_keys=True).encode() + b"\n",
         )

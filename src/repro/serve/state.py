@@ -36,7 +36,6 @@ Records::
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import Any
@@ -162,7 +161,7 @@ class StateStore:
         from the cache instead of serving a missing file.
         """
         path = self.result_path(campaign_id)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        tmp = path.with_suffix(".tmp")
         payload = (
             json.dumps(document, indent=2, sort_keys=True) + "\n"
         ).encode()

@@ -216,6 +216,36 @@ class TestCacheIntegrity:
         assert hit is not None
         assert hit.result.demand.program == run_result.demand.program
 
+    def test_two_threads_put_one_key(self, tmp_path, run_result):
+        """Regression: every writer of one process named its temp file
+        ``<key>.tmp.<pid>``, so two threads putting one key (the serve
+        daemon's slots share a cache) renamed each other's temp file
+        away and the loser raised ``FileNotFoundError``."""
+        import threading
+
+        from repro.fleet.cache import read_entry
+
+        cache = ResultCache(tmp_path / "cache")
+        key = "ef" + "1" * 62
+        errors = []
+
+        def writer():
+            try:
+                for _ in range(100):
+                    cache.put(key, run_result, wall_s=0.1)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        (path,) = cache.paths()
+        assert read_entry(path).result.demand == run_result.demand
+        assert not list(cache.root.rglob("*.tmp*"))
+
     def test_quarantine_excluded_from_len(self, tmp_path, run_result):
         cache = ResultCache(tmp_path / "cache")
         good, bad = "78" + "7" * 62, "9a" + "8" * 62

@@ -245,3 +245,59 @@ class TestEventLog:
         kinds = [r["kind"] for r in read_events(log_path)]
         assert kinds.count("job_retry") == 1
         assert kinds.count("job_failed") == 1
+
+
+class TestJobAccounting:
+    def test_job_id_is_hashed_once_per_job(self, tmp_path, monkeypatch):
+        """Regression: ``FleetJob.job_id`` re-hashed the workload on every
+        read, 55 times for the demo campaign's 5 jobs through its
+        expansion and a cold and a warm run with a cache and a log."""
+        import hashlib
+        import types
+
+        from repro.fleet import spec
+
+        hashed = []
+
+        def sha256(data):
+            hashed.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(spec, "hashlib", types.SimpleNamespace(sha256=sha256))
+        jobs = demo_campaign().jobs()
+        cache = ResultCache(tmp_path / "cache")
+        with EventLog(tmp_path / "events.jsonl") as events:
+            runner = FleetRunner(workers=1, cache=cache, events=events)
+            cold = runner.run_jobs(jobs)
+            warm = runner.run_jobs(jobs)
+        assert cold.ok and warm.cache_hits == len(jobs)
+        assert len(hashed) == len(jobs)
+
+    def test_each_job_reports_its_own_wall_time(self, tmp_path, campaign):
+        """A chunk's wall time is not split evenly: the record, the
+        ``job_finish`` event and the cache entry of each job carry the
+        job's own time in the worker."""
+        from repro.fleet import job_cache_key
+        from repro.fleet.cache import read_entry
+
+        cache = ResultCache(tmp_path / "cache")
+        log_path = tmp_path / "events.jsonl"
+        with EventLog(log_path) as events:
+            outcome = FleetRunner(
+                workers=1,
+                cache=cache,
+                events=events,
+                fault=FaultInjection("ep.C.2", kind="slow", delay_s=0.3),
+            ).run(campaign)
+        finished = {
+            r["job_id"]: r["wall_s"]
+            for r in read_events(log_path)
+            if r["kind"] == "job_finish"
+        }
+        entries = {path.stem: path for path in cache.paths()}
+        for record in outcome.records:
+            wall_s = record.wall_s
+            assert (wall_s >= 0.3) == (record.job.label == "ep.C.2")
+            assert finished[record.job.job_id] == wall_s
+            entry = entries[job_cache_key(record.job)]
+            assert read_entry(entry).wall_s == wall_s
