@@ -64,6 +64,10 @@ class ProgramTraits:
                 raise ConfigurationError(
                     f"{self.name}.{attr} must be in [0, 1], got {value}"
                 )
+        # Built once: every run of the program starts from it.
+        object.__setattr__(
+            self, "_profile", {name: getattr(self, name) for name in PROFILE_FIELDS}
+        )
 
     def demand(
         self,
@@ -81,9 +85,8 @@ class ProgramTraits:
         level), so a workload states only where its run departs from
         the program's profile.
         """
-        profile = {name: getattr(self, name) for name in PROFILE_FIELDS}
         return ResourceDemand(
-            program, nprocs, duration_s, gflops, memory_mb, **(profile | overrides)
+            program, nprocs, duration_s, gflops, memory_mb, **(self._profile | overrides)
         )
 
 

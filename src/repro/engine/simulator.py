@@ -74,7 +74,8 @@ def _transient_shape(n_seconds: int, rng: np.random.Generator) -> np.ndarray:
 def _run_seed(base_seed: int, label: str) -> np.random.Generator:
     """Deterministic per-run RNG from the campaign seed and run label."""
     digest = hashlib.sha256(f"{base_seed}:{label}".encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    # Exactly what ``np.random.default_rng(seed)`` returns, built directly.
+    return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "big")))
 
 
 #: Placement policy a :class:`Simulator` uses unless told otherwise.
@@ -142,6 +143,8 @@ class Simulator:
             Dynamic-power idiosyncrasy override; defaults to the
             workload's own factor (1.0 for a bare demand).
         """
+        if not obs.enabled():
+            return self._run(workload, t_start_s, power_factor)
         label = getattr(workload, "label", None) or getattr(
             workload, "program", type(workload).__name__
         )
@@ -179,28 +182,35 @@ class Simulator:
         )
 
         n_seconds = max(int(math.ceil(demand.duration_s)), 1)
-        times = t_start_s + np.arange(n_seconds, dtype=float)
+        # Seconds since the start: the ripple's argument, then (shifted by
+        # t_start_s) the sample clock.
+        times = np.arange(n_seconds, dtype=float)
         rng = _run_seed(self.seed, demand.program)
 
         # Slow phase ripple on the dynamic component (program phases:
         # factorisation panels, solver sweeps) and start-up/tear-down
         # transients, which scale the dynamic component and the ripple
         # riding on it.  Idle has no dynamic power to ripple or ramp.
+        # The true power is built in place from the ripple:
+        # idle + shape * (dynamic + ripple).
         idle_watts = self.power_model.coefficients.p_idle
         dynamic = base_watts - idle_watts
         if dynamic > 0:
             period = float(rng.uniform(20.0, 60.0))
             phase = float(rng.uniform(0.0, 2.0 * math.pi))
-            ripple = (
-                _RIPPLE_FRACTION
-                * dynamic
-                * np.sin(2.0 * math.pi * np.arange(n_seconds) / period + phase)
-            )
+            true_watts = 2.0 * math.pi * times
+            true_watts /= period
+            true_watts += phase
+            np.sin(true_watts, out=true_watts)
+            true_watts *= _RIPPLE_FRACTION * dynamic
             shape = _transient_shape(n_seconds, rng)
         else:
-            ripple = np.zeros(n_seconds)
+            true_watts = np.zeros(n_seconds)
             shape = np.ones(n_seconds)
-        true_watts = idle_watts + shape * (dynamic + ripple)
+        true_watts += dynamic
+        true_watts *= shape
+        true_watts += idle_watts
+        times += t_start_s
 
         meter = Wt210Meter(self.meter_spec, seed=int(rng.integers(2**31)))
         measured = meter.sample_series(true_watts)
@@ -209,7 +219,8 @@ class Simulator:
         # Resident memory follows the same transient (allocation at start,
         # release at exit), on top of the OS baseline.
         os_mb = self._memory.os_baseline_mb
-        resident = os_mb + shape * (traffic.resident_mb - os_mb)
+        resident = shape * (traffic.resident_mb - os_mb)
+        resident += os_mb
         memory_mb = sampler.sample_series(resident)
 
         # PMU counters are always reported per standard 10 s collection
@@ -231,8 +242,12 @@ class Simulator:
             scales = shape[: n_pmu * width].reshape(n_pmu, width).mean(axis=1)
         else:
             scales = np.array([shape.mean()])
-        noise = 1.0 + _PMU_NOISE * rng.standard_normal((n_pmu, 6))
-        counters = np.maximum((base * noise) * scales[:, None], 0.0)
+        counters = rng.standard_normal((n_pmu, 6))
+        counters *= _PMU_NOISE
+        counters += 1.0
+        counters *= base
+        counters *= scales[:, None]
+        np.maximum(counters, 0.0, out=counters)
         pmu = np.empty((n_pmu, len(PMU_COLUMNS)))
         pmu[:, 0] = t_start_s + np.arange(n_pmu) * interval
         pmu[:, 1] = interval

@@ -16,8 +16,11 @@ comes the blob: every sample array as raw little-endian float64, the
 four traces, then the eight columns of ``RunResult.pmu``.  Power traces
 can run to hundreds of thousands of 1 Hz samples (a full-memory HPL
 run), and reading raw float64 back through ``np.frombuffer`` is an order
-of magnitude faster than parsing digits out of JSON — which is what
-makes a warm campaign run >= 10x faster than re-simulating.
+of magnitude faster than parsing digits out of JSON.  A warm campaign is
+still only about 1.5-2x faster than re-simulating it: every hit verifies
+its entry's SHA-256, and for the 30-job Tables IV-VI matrix that is
+about 13 MB hashed in about 11 ms (1.2 GB/s on a 2-CPU container), more
+than a tenth of the recompute time.
 
 Durability contract: an entry is written via one temp file + ``fsync``
 + ``os.replace``, so it is either absent or complete.  Every read goes

@@ -241,4 +241,4 @@ def analytic_hit_rate(
         return 0.999
     resident = capacity_mb / working_set_mb
     hit = locality + (1.0 - locality) * resident
-    return float(np.clip(hit, 0.0, 0.999))
+    return float(min(max(hit, 0.0), 0.999))

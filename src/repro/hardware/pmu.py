@@ -73,6 +73,11 @@ class Pmu:
 
     def __init__(self, server: ServerSpec):
         self.server = server
+        # Cache capacities depend only on the server: computed once.
+        dcache = server.processor.dcache
+        self._l1_mb = (dcache.size_kb / 1024.0) if dcache else 0.032
+        self._l2_mb = self._level_capacity_mb(2)
+        self._l3_mb = self._level_capacity_mb(3)
 
     def _level_capacity_mb(self, level: int) -> float:
         """Aggregate capacity of cache level 2 or 3 across the server, MB."""
@@ -92,17 +97,15 @@ class Pmu:
         if demand.is_idle or demand.nprocs == 0:
             return (1.0, 1.0, 1.0)
         ws_per_core = max(demand.memory_mb / demand.nprocs, 1e-3)
-        proc = self.server.processor
-        l1_mb = (proc.dcache.size_kb / 1024.0) if proc.dcache else 0.032
-        h1 = analytic_hit_rate(ws_per_core, l1_mb, demand.l1_locality)
-        l2_total = self._level_capacity_mb(2)
+        h1 = analytic_hit_rate(ws_per_core, self._l1_mb, demand.l1_locality)
+        l2_total = self._l2_mb
         l2_share = l2_total / demand.nprocs if l2_total else 0.0
         h2 = (
             analytic_hit_rate(ws_per_core, l2_share, demand.l2_locality)
             if l2_share
             else 0.0
         )
-        l3_total = self._level_capacity_mb(3)
+        l3_total = self._l3_mb
         l3_share = l3_total / demand.nprocs if l3_total else 0.0
         h3 = (
             analytic_hit_rate(ws_per_core, l3_share, demand.l3_locality)
@@ -128,7 +131,7 @@ class Pmu:
         l2_accesses = instructions * _MEM_OP_FRACTION * (1.0 - h1)
         l2_hits = l2_accesses * h2
         l3_accesses = l2_accesses - l2_hits
-        l3_hits = l3_accesses * h3 if self._level_capacity_mb(3) else 0.0
+        l3_hits = l3_accesses * h3 if self._l3_mb else 0.0
         return PmuSample(
             time_s=time_s,
             interval_s=interval_s,

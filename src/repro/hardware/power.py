@@ -115,10 +115,15 @@ class PowerCoefficients:
                 )
         if self.p_idle <= 0:
             raise ConfigurationError("idle power must be positive")
+        # Built once: power_watts takes two dot products with it per run.
+        delta = np.array([getattr(self, name) for name in DELTA_FEATURES])
+        delta.setflags(write=False)
+        object.__setattr__(self, "_delta", delta)
 
     def as_delta_vector(self) -> np.ndarray:
-        """Delta coefficients in :data:`DELTA_FEATURES` order."""
-        return np.array([getattr(self, name) for name in DELTA_FEATURES])
+        """Delta coefficients in :data:`DELTA_FEATURES` order (a fresh
+        array the caller may modify)."""
+        return self._delta.copy()
 
 
 def dynamic_feature_vector(
@@ -183,7 +188,7 @@ class SystemPowerModel:
         if not include_comm:
             features = features.copy()
             features[COMM_FEATURE_INDEX] = 0.0
-        delta = float(features @ c.as_delta_vector())
+        delta = float(features @ c._delta)
         dynamic = idiosyncrasy * delta
         # Physical envelope: with the same placement and traffic, no
         # program can draw much more than a full-intensity (HPL-like)
@@ -194,7 +199,7 @@ class SystemPowerModel:
         envelope_features = features.copy()
         n_util = cpu.active_cores * cpu.utilisation
         envelope_features[3] = n_util  # intensity == 1.0
-        envelope = float(envelope_features @ c.as_delta_vector())
+        envelope = float(envelope_features @ c._delta)
         dynamic = min(dynamic, ENVELOPE_HEADROOM * envelope)
         return c.p_idle + dynamic
 

@@ -13,6 +13,7 @@ the behaviours that matter to the evaluation pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -66,7 +67,7 @@ class Wt210Meter:
 
     def __init__(self, spec: MeterSpec = WT210, seed: int = 0):
         self.spec = spec
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.Generator(np.random.PCG64(seed))
         self._gain = 1.0 + spec.gain_error * float(
             self._rng.standard_normal()
         )
@@ -83,6 +84,25 @@ class Wt210Meter:
             If any value exceeds the configured range (over-range).
         """
         true_watts = np.asarray(true_watts, dtype=float)
+        # One min/max pair accepts a valid series (NaN fails both
+        # comparisons); only a rejected one runs the ordered checks.
+        if true_watts.size and not (
+            true_watts.min() >= 0.0 and true_watts.max() <= self.spec.max_watts
+        ):
+            self._reject(true_watts)
+        measured = np.multiply(true_watts, self._gain, out=np.empty_like(true_watts))
+        noise = self._rng.standard_normal(true_watts.shape)
+        noise *= self.spec.noise_sigma_watts
+        measured += noise
+        measured /= self.spec.quantum_watts
+        np.rint(measured, out=measured)
+        measured *= self.spec.quantum_watts
+        obs.inc("meter.samples", float(true_watts.size))
+        return np.maximum(measured, 0.0, out=measured)
+
+    def _reject(self, true_watts: np.ndarray) -> NoReturn:
+        """Raise for the first check a series fails: non-finite, then
+        negative, then over-range."""
         nonfinite = ~np.isfinite(true_watts)
         if nonfinite.any():
             index = int(np.argmax(nonfinite))
@@ -97,19 +117,10 @@ class Wt210Meter:
                 index,
                 "negative power cannot be measured",
             )
-        if true_watts.size and float(true_watts.max()) > self.spec.max_watts:
-            raise MeterError(
-                f"{self.spec.name}: {true_watts.max():.0f} W exceeds the "
-                f"{self.spec.max_watts:.0f} W range"
-            )
-        noisy = true_watts * self._gain + self.spec.noise_sigma_watts * (
-            self._rng.standard_normal(true_watts.shape)
+        raise MeterError(
+            f"{self.spec.name}: {true_watts.max():.0f} W exceeds the "
+            f"{self.spec.max_watts:.0f} W range"
         )
-        quantised = np.round(noisy / self.spec.quantum_watts) * (
-            self.spec.quantum_watts
-        )
-        obs.inc("meter.samples", float(true_watts.size))
-        return np.maximum(quantised, 0.0)
 
     def sample(self, true_watts: float) -> float:
         """Measure a single value."""

@@ -30,16 +30,16 @@ class MemorySampler:
             raise ConfigurationError("jitter must be non-negative")
         self.server = server
         self.jitter_mb = jitter_mb
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.Generator(np.random.PCG64(seed))
 
     def sample_series(self, resident_mb: np.ndarray) -> np.ndarray:
         """Observe a per-second series of true resident footprints."""
         resident_mb = np.asarray(resident_mb, dtype=float)
-        observed = resident_mb + self.jitter_mb * self._rng.standard_normal(
-            resident_mb.shape
-        )
+        observed = self._rng.standard_normal(resident_mb.shape)
+        observed *= self.jitter_mb
+        observed += resident_mb
         obs.inc("meter.memory_samples", float(resident_mb.size))
-        return np.clip(observed, 0.0, self.server.memory_mb)
+        return np.clip(observed, 0.0, self.server.memory_mb, out=observed)
 
     def usage_percent(self, resident_mb: np.ndarray) -> np.ndarray:
         """Observed usage as a percentage of installed DRAM."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
+from functools import lru_cache
 
 from repro.demand import ResourceDemand
 from repro.errors import ConfigurationError
@@ -40,10 +41,14 @@ IDIOSYNCRASY_AMPLITUDE: float = 0.30
 _CALIBRATED_PROGRAMS: frozenset[str] = frozenset({"idle", "ep", "hpl"})
 
 
+@lru_cache(maxsize=1024)
 def power_idiosyncrasy(
     program_key: str, amplitude: float = IDIOSYNCRASY_AMPLITUDE
 ) -> float:
     """Deterministic dynamic-power factor for one (program, class) key.
+
+    A pure function of its arguments, so it is memoised: a sweep asks
+    for the same few keys on every run.
 
     Parameters
     ----------
