@@ -15,12 +15,12 @@ wall time, demand, array offsets, the blob's length and SHA-256, and
 comes the blob: every sample array as raw little-endian float64, the
 four traces, then the eight columns of ``RunResult.pmu``.  Power traces
 can run to hundreds of thousands of 1 Hz samples (a full-memory HPL
-run), and reading raw float64 back through ``np.frombuffer`` is an order
-of magnitude faster than parsing digits out of JSON.  A warm campaign is
-still only about 1.5-2x faster than re-simulating it: every hit verifies
-its entry's SHA-256, and for the 30-job Tables IV-VI matrix that is
-about 13 MB hashed in about 11 ms (1.2 GB/s on a 2-CPU container), more
-than a tenth of the recompute time.
+run), and serving raw float64 as views of the bytes read is an order of
+magnitude faster than parsing digits out of JSON.  A warm campaign is
+still only about 2x faster than re-simulating it: every hit verifies its
+entry's SHA-256, and for the 30-job Tables IV-VI matrix reading and
+hashing its 12.6 MB of entries takes 13-17 ms of a 18-26 ms warm run
+(2-CPU container), against 33-54 ms to recompute it.
 
 Durability contract: an entry is written via one temp file + ``fsync``
 + ``os.replace``, so it is either absent or complete.  Every read goes
@@ -41,8 +41,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from operator import index
 from pathlib import Path
 from typing import Any
 
@@ -98,6 +100,13 @@ def _normalise(value: Any) -> Any:
     return value
 
 
+#: The encoder behind :func:`canonical_json`, built once: ``json.dumps``
+#: with these arguments builds an equal one on every call.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+
+
 def canonical_json(document: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace, normalised numbers.
 
@@ -106,12 +115,7 @@ def canonical_json(document: Any) -> str:
     ``400`` or ``400.0`` — the property the cache-key contract depends
     on.
     """
-    return json.dumps(
-        _normalise(document),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    return _CANONICAL.encode(_normalise(document))
 
 
 def canonical_digest(document: Any) -> str:
@@ -130,6 +134,9 @@ def _server_json(server: ServerSpec) -> str:
     return canonical_json(repro_io.server_to_dict(server))
 
 
+_SALT_JSON = canonical_json(CACHE_SALT)
+
+
 def job_cache_key(job: FleetJob) -> str:
     """SHA-256 cache key of one fleet job.
 
@@ -139,7 +146,7 @@ def job_cache_key(job: FleetJob) -> str:
     """
     document = (
         f'{{"placement":{canonical_json(job.placement)},'
-        f'"salt":{canonical_json(CACHE_SALT)},'
+        f'"salt":{_SALT_JSON},'
         f'"seed":{canonical_json(job.seed)},'
         f'"server":{_server_json(job.server)},'
         f'"workload":{canonical_json(job.workload)}}}'
@@ -164,19 +171,51 @@ def _result_arrays(result: RunResult) -> "dict[str, np.ndarray]":
     return arrays
 
 
-def _result_from_arrays(
-    meta: dict[str, Any], arrays: "dict[str, np.ndarray]"
+#: A ``"<f8"`` view of the blob is a native float64 array only on a
+#: little-endian host; elsewhere every trace is converted by a copy.
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def _result_from_blob(
+    meta: dict[str, Any],
+    blob: np.ndarray,
+    layout: "dict[str, tuple[int, int]]",
 ) -> RunResult:
-    """Rebuild a result from its metadata and sample arrays."""
+    """Rebuild a result from its metadata and its verified blob.
+
+    ``layout`` maps every array name to its bounds-checked ``(offset,
+    count)`` in ``blob``.  A trace is a view of the blob when it is
+    aligned and starts past the previous view, so views never overlap;
+    any other trace is copied.  The PMU columns, back to back in
+    :data:`PMU_COLUMNS` order as :meth:`ResultCache.put` writes them,
+    become the C-ordered (windows, 8) array with one transposing copy;
+    any other layout is stacked column by column into the same array.
+    """
+    traces, end = {}, 0
+    for name in _TRACE_ARRAYS:
+        offset, count = layout[name]
+        values = np.frombuffer(blob, "<f8", count, offset)
+        if _LITTLE_ENDIAN and values.flags.aligned and offset >= end:
+            end = offset + values.nbytes
+        else:
+            values = values.astype(float)
+        traces[name] = values
+    columns = [layout[f"pmu.{name}"] for name in PMU_COLUMNS]
+    start, windows = columns[0]
+    width = len(columns)
+    if columns == [(start + 8 * windows * j, windows) for j in range(width)]:
+        block = np.frombuffer(blob, "<f8", width * windows, start)
+        pmu = block.reshape(width, windows).T.copy()
+    else:
+        pmu = np.column_stack(
+            [np.frombuffer(blob, "<f8", n, offset) for offset, n in columns]
+        )
     return RunResult(
         demand=ResourceDemand(**meta["demand"]),
         t_start_s=float(meta["t_start_s"]),
-        times_s=arrays["times_s"].astype(float, copy=True),
-        true_watts=arrays["true_watts"].astype(float, copy=True),
-        measured_watts=arrays["measured_watts"].astype(float, copy=True),
-        memory_mb=arrays["memory_mb"].astype(float, copy=True),
-        pmu=np.column_stack([arrays[f"pmu.{name}"] for name in PMU_COLUMNS]),
+        pmu=pmu,
         power_factor=float(meta["power_factor"]),
+        **traces,
     )
 
 
@@ -198,6 +237,27 @@ def _meta_sha256(document: dict[str, Any]) -> str:
     """SHA-256 of an entry document's bytes without ``meta_sha256``."""
     body = {k: v for k, v in document.items() if k != "meta_sha256"}
     return hashlib.sha256(_entry_bytes(body)).hexdigest()
+
+
+def _signed(line: bytes, document: dict[str, Any]) -> bool:
+    """Whether an entry's metadata line matches its ``meta_sha256``.
+
+    :meth:`ResultCache.put` writes canonical bytes, so the line with its
+    ``,"meta_sha256":"<hex>"`` member cut out is exactly what it hashed.
+    A line that fails that check (another writer's spacing or key order)
+    falls back to re-encoding the parsed document, the check
+    :func:`_meta_sha256` defines.
+    """
+    digest = document.get("meta_sha256")
+    if isinstance(digest, str) and digest.isascii():
+        member = b',"meta_sha256":"' + digest.encode() + b'"'
+        at = line.find(member)
+        if at >= 0:
+            sha256 = hashlib.sha256(line[:at])
+            sha256.update(line[at + len(member) :])
+            if sha256.hexdigest() == digest:
+                return True
+    return digest == _meta_sha256(document)
 
 
 class CacheEntryError(ReproError):
@@ -235,18 +295,26 @@ def read_entry(path: Path) -> CacheHit:
     what it rejects) and ``repro doctor audit`` (which only reports it);
     it changes no file.  Raises :class:`CacheEntryError` naming the
     first check the entry fails, e.g. ``metadata_checksum_mismatch``.
+    The blob is read once into a fresh buffer, hashed there, and a hit's
+    traces are views of it (:func:`_result_from_blob`), so the hit keeps
+    that buffer alive.
     """
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as file:
+            line = file.readline()
+            size = os.fstat(file.fileno()).st_size - len(line)
+            # One fresh buffer, so the arrays served from it are
+            # writeable and those at a multiple of 8 bytes are aligned.
+            blob = np.empty(max(size, 0), dtype=np.uint8)
+            blob = blob[: file.readinto(blob)]
     except FileNotFoundError:
         raise CacheEntryError("missing_metadata") from None
     except OSError:
         raise CacheEntryError("unreadable_metadata") from None
-    end = raw.find(b"\n")
-    if end < 0:
-        end = len(raw)
+    if line.endswith(b"\n"):
+        line = line[:-1]
     try:
-        data = json.loads(raw[:end])
+        data = json.loads(line)
     except ValueError:
         raise CacheEntryError("unreadable_metadata") from None
     if not isinstance(data, dict):
@@ -255,24 +323,22 @@ def read_entry(path: Path) -> CacheHit:
         raise CacheEntryError("wrong_kind")
     if data.get("salt") != CACHE_SALT:
         raise CacheEntryError("stale_salt")
-    if data.get("meta_sha256") != _meta_sha256(data):
+    if not _signed(line, data):
         raise CacheEntryError("metadata_checksum_mismatch")
-    start = end + 1
-    blob = memoryview(raw)[start:]
     try:
-        if len(blob) != data["blob_len"]:
+        if blob.size != data["blob_len"]:
             raise CacheEntryError("blob_length_mismatch")
         if hashlib.sha256(blob).hexdigest() != data["blob_sha256"]:
             raise CacheEntryError("blob_checksum_mismatch")
-        arrays: dict[str, np.ndarray] = {}
+        layout: dict[str, tuple[int, int]] = {}
         for name, (offset, count) in data["result"]["arrays"].items():
-            if offset < 0 or offset + count * 8 > len(blob):
+            if offset < 0 or count < 0 or offset + count * 8 > blob.size:
                 raise CacheEntryError(f"array_out_of_bounds:{name}")
-            arrays[name] = np.frombuffer(
-                raw, dtype="<f8", count=count, offset=start + offset
-            )
+            # Integers, as np.frombuffer needs: a fractional offset is
+            # malformed before a later array's bounds are checked.
+            layout[name] = (index(offset), index(count))
         return CacheHit(
-            result=_result_from_arrays(data["result"], arrays),
+            result=_result_from_blob(data["result"], blob, layout),
             wall_s=float(data.get("wall_s", 0.0)),
         )
     except (AttributeError, KeyError, TypeError, ValueError, SimulationError):
